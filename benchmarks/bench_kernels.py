@@ -1,4 +1,4 @@
-"""Timing comparison of the jitted kernels against the pure-numpy fallbacks.
+"""Timing comparison of the jitted field-solver steps against the numpy ones.
 
 Run:  python3 benchmarks/bench_kernels.py
 The jitted path needs numba installed (pip install solq[fast]); without it,
@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from solq import _kernels
-from solq.couplings import _site_factors
 
 
 def _time(fn, *args, repeat=5):
@@ -21,23 +20,6 @@ def _time(fn, *args, repeat=5):
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def bench_correlation_panel():
-    karr = np.linspace(0.01, 2.5, 400)
-    y1 = np.linspace(-42.5, 42.5, 5001)
-    y2 = y1 - 2.5
-    m1, t1, s1 = _site_factors(y1, 1.1456)
-    m2, t2, s2 = _site_factors(y2, 1.1456)
-    dy = y1[1] - y1[0]
-    args = (karr, y1, m1, t1, s1, y2, m2, t2, s2, dy)
-    t_np = _time(_kernels.correlation_panel_numpy, *args)
-    t_hot = _time(_kernels.correlation_panel, *args)
-    ref = _kernels.correlation_panel_numpy(*args)
-    hot = _kernels.correlation_panel(*args)
-    err = float(np.max(np.abs(ref - hot)))
-    print(f"correlation_panel  numpy {t_np * 1e3:8.1f} ms   active {t_hot * 1e3:8.1f} ms"
-          f"   speedup {t_np / t_hot:5.1f}x   max diff {err:.2e}")
 
 
 def bench_field_steps():
@@ -64,5 +46,4 @@ def bench_field_steps():
 
 if __name__ == "__main__":
     print(f"numba available: {_kernels.HAVE_NUMBA}, pure-numpy override: {_kernels.PURE_NUMPY}")
-    bench_correlation_panel()
     bench_field_steps()

@@ -1,13 +1,13 @@
-"""Hot numerical loops, jitted when numba is available.
+"""Pointwise steps of the split-step field solver, jitted when numba is available.
 
-Two kernels live here: the coupling-density correlation panel that the rate
-integrals hammer (a k-grid times a ~2e4-point spatial grid per separation),
-and the pointwise phase/decay steps of the split-step field solver. Everything
-else in the package is plain vectorized numpy.
+The phase step (real time) and the decay step (imaginary time) apply the
+nonlinear and potential terms of the Gross-Pitaevskii equation between the
+kinetic FFT half-steps in `gpe`. Everything else in the package, the rate
+engine included, is plain vectorized numpy.
 
-Set SOLQ_PURE_NUMPY=1 to force the numpy fallback even when numba is
-installed; benchmarks/bench_kernels.py times the two paths against each other
-and the test suite asserts they agree.
+Set SOLQ_PURE_NUMPY=1 to force the numpy steps even when numba is installed;
+benchmarks/bench_kernels.py times the two paths against each other and
+checks that they agree.
 """
 
 import os
@@ -20,7 +20,7 @@ if PURE_NUMPY:
     HAVE_NUMBA = False
 else:
     try:
-        from numba import njit, prange
+        from numba import njit
 
         HAVE_NUMBA = True
     except ImportError:
@@ -36,62 +36,6 @@ if not HAVE_NUMBA:
             return func
 
         return wrap
-
-    prange = range
-
-
-def correlation_panel_numpy(karr, y1, m1, t1, s1sq, y2, m2, t2, s2sq, dy):
-    """Re integral of D_k(y) D_k*(y - d) dy for every k in `karr`.
-
-    D_k(y) = m(y) [bu(y,k) e^{iky} + bv(y,k) e^{-iky}] with the Bogoliubov
-    bracket coefficients bu/bv; the caller supplies the k-independent spatial
-    factors for both sites (site 2 shifted by the separation). Chunked over k
-    to bound the temporaries.
-    """
-    out = np.empty(len(karr))
-    for a in range(0, len(karr), 64):
-        kk = np.asarray(karr[a:a + 64])[:, None]
-        ek = np.sqrt(kk * kk * (kk * kk + 2.0))
-        cu = (kk * kk + 2.0 * ek) / ek
-        cv = (kk * kk - 2.0 * ek) / ek
-        bu1 = cu * (kk / 2 + 1j * t1) + (kk / ek) * s1sq
-        bv1 = cv * (kk / 2 + 1j * t1) + (kk / ek) * s1sq
-        bu2 = cu * (kk / 2 + 1j * t2) + (kk / ek) * s2sq
-        bv2 = cv * (kk / 2 + 1j * t2) + (kk / ek) * s2sq
-        d1 = m1 * (bu1 * np.exp(1j * kk * y1) + bv1 * np.exp(-1j * kk * y1))
-        d2 = m2 * (bu2 * np.exp(1j * kk * y2) + bv2 * np.exp(-1j * kk * y2))
-        out[a:a + 64] = np.trapezoid((d1 * np.conj(d2)).real, dx=dy, axis=1)
-    return out
-
-
-@njit(parallel=True, cache=True, nogil=True)
-def _correlation_panel_jit(karr, y1, m1, t1, s1sq, y2, m2, t2, s2sq, dy):
-    nk = karr.shape[0]
-    ny = y1.shape[0]
-    out = np.empty(nk)
-    for a in prange(nk):
-        k = karr[a]
-        ek = np.sqrt(k * k * (k * k + 2.0))
-        cu = (k * k + 2.0 * ek) / ek
-        cv = (k * k - 2.0 * ek) / ek
-        ke = k / ek
-        acc = 0.0
-        for i in range(ny):
-            bu1 = cu * (k / 2 + 1j * t1[i]) + ke * s1sq[i]
-            bv1 = cv * (k / 2 + 1j * t1[i]) + ke * s1sq[i]
-            bu2 = cu * (k / 2 + 1j * t2[i]) + ke * s2sq[i]
-            bv2 = cv * (k / 2 + 1j * t2[i]) + ke * s2sq[i]
-            e1 = complex(np.cos(k * y1[i]), np.sin(k * y1[i]))
-            e2 = complex(np.cos(k * y2[i]), np.sin(k * y2[i]))
-            d1 = m1[i] * (bu1 * e1 + bv1 * np.conj(e1))
-            d2 = m2[i] * (bu2 * e2 + bv2 * np.conj(e2))
-            term = (d1 * np.conj(d2)).real
-            if i == 0 or i == ny - 1:
-                acc += 0.5 * term
-            else:
-                acc += term
-        out[a] = acc * dy
-    return out
 
 
 def phase_step_numpy(psi, pot, g, dt):
@@ -122,10 +66,8 @@ def _decay_step_jit(psi, pot, g, dt):
 
 
 if HAVE_NUMBA:
-    correlation_panel = _correlation_panel_jit
     phase_step = _phase_step_jit
     decay_step = _decay_step_jit
 else:
-    correlation_panel = correlation_panel_numpy
     phase_step = phase_step_numpy
     decay_step = decay_step_numpy

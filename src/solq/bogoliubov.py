@@ -52,6 +52,25 @@ def group_velocity_at(omega):
     return np.where(omega == 0.0, np.sqrt(2.0), vg)
 
 
+def mode_bracket(k, th, ssq):
+    """Envelope brackets (bu, bv) of mode k at a point with tanh th, sech^2 ssq.
+
+    bu = [(k^2 + 2 eps)(k/2 + i th) + k ssq]/eps,
+    bv = [(k^2 - 2 eps)(k/2 + i th) + k ssq]/eps,
+
+    so that u_k = e^{iky} bu/sqrt(4 pi) and v_k = e^{-iky} bv/sqrt(4 pi).
+    Plain arithmetic: floats give complex scalars (for quadrature integrands)
+    and broadcastable arrays give complex arrays.
+    """
+    eps = (k * k * (k * k + 2.0)) ** 0.5
+    common = k / 2.0 + 1j * th
+    tail = (k / eps) * ssq
+    return (
+        (k * k + 2.0 * eps) / eps * common + tail,
+        (k * k - 2.0 * eps) / eps * common + tail,
+    )
+
+
 @dataclass(frozen=True)
 class BogoliubovMode:
     """u/v envelope pair of one reservoir mode around a soliton at `center`."""
@@ -79,11 +98,8 @@ def mode_amplitudes(k: float, x, center: float = 0.0) -> BogoliubovMode:
         raise ValueError(f"k = {k} below the supported minimum {K_MIN}")
     x = np.asarray(x, dtype=float)
     y = x - center
-    eps = float(dispersion(k))
-    th = np.tanh(y)
-    ssq = 1.0 / np.cosh(y) ** 2
-    pref = np.sqrt(1.0 / (4.0 * np.pi)) / eps
-    common = k / 2.0 + 1j * th
-    u = np.exp(1j * k * y) * pref * ((k * k + 2.0 * eps) * common + k * ssq)
-    v = np.exp(-1j * k * y) * pref * ((k * k - 2.0 * eps) * common + k * ssq)
+    bu, bv = mode_bracket(k, np.tanh(y), 1.0 / np.cosh(y) ** 2)
+    pref = np.sqrt(1.0 / (4.0 * np.pi))
+    u = np.exp(1j * k * y) * pref * bu
+    v = np.exp(-1j * k * y) * pref * bv
     return BogoliubovMode(k=k, center=center, u=u, v=v)

@@ -17,45 +17,76 @@ with m(y) = tanh^2(y) sech^(2 alpha)(y) the orbital-pair overlap density and
 bu/bv the Bogoliubov bracket envelopes. Both ratios are even in d, equal 1 and
 (cutoff-dependent) at contact, and vanish at large separation; Cauchy-Schwarz
 guarantees |Gamma/gamma| <= 1.
+
+C12 is the autocorrelation of D_k, so by Wiener-Khinchin every separation
+follows from one table of |FFT D_k|^2 over the resonant mode and the PV
+k-grid: `rate_set` builds it once per parameter set and grid size and then
+costs one cosine matrix-vector product per separation.
 """
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, simpson
 
-from . import _kernels
-from .bogoliubov import dispersion, group_velocity, resonant_wavevector
+from .bogoliubov import group_velocity, mode_bracket, resonant_wavevector
 from .boundstates import wannier_pair
 from .model import ModelParams, chi_over_g, qubit_gap, wannier_alpha
 
 Y_HALF = 40.0          # spatial support half-width for the quadratures, in xi
-N_Y = 5001             # panel points across [-Y_HALF - |d|, Y_HALF + |d|]; the
-                       # kernel decays exponentially, so the trapezoid rule is
-                       # already spectrally converged here (matches 4x finer
-                       # grids to 1e-12 relative)
+N_Y = 501              # samples of D_k across [-Y_HALF, Y_HALF]; D_k is analytic
+                       # and decays like sech^(2 alpha), so the trapezoid sums
+                       # converge exponentially: C12 matches n_y = 20001 to
+                       # 1.6e-12 relative at (k0, d = 2.5), and the rates match
+                       # the pins taken at 5001 points to 6e-13
 N_OMEGA = 1601         # budget for the principal-value frequency grid
 OMEGA_MAX_FACTOR = 50  # reservoir cutoff in units of the qubit gap
+_FFT_CHUNK = 1 << 16   # complex samples per FFT batch (bounds the temporaries)
 
 
-def _site_factors(y, alpha):
-    """k-independent spatial arrays the correlation kernel consumes."""
+def _spectral_power(karr, alpha, n_y=N_Y, y_half=Y_HALF):
+    """Folded power spectra of D_k: returns q >= 0 and P with C12 = P @ cos(q |d|).
+
+    D_k(y) is sampled on n_y points of [-y_half, y_half] and zero-padded to the
+    next power of two >= 2 n_y, so the circular autocorrelation of the samples
+    is the linear one (Wiener-Khinchin) and equals the trapezoid sum of
+    Re D_k(y) D_k*(y - d) at every grid lag. P[k, q] = |FFT D_k|^2 dy/nfft with
+    the +q and -q bins summed (cos is even); evaluating at any d interpolates
+    between grid lags with an error set by the aliasing of D_k's spectrum,
+    which is exponentially small here.
+    """
+    karr = np.atleast_1d(np.asarray(karr, dtype=float))
+    y = np.linspace(-y_half, y_half, n_y)
+    dy = y[1] - y[0]
     th = np.tanh(y)
     sech = 1.0 / np.cosh(y)
     m = th * th * sech ** (2.0 * alpha)
-    return m, th, sech * sech
+    ssq = sech * sech
+    nfft = 1 << (2 * n_y - 1).bit_length()
+    half = nfft // 2
+    power = np.empty((len(karr), half + 1))
+    rows = max(1, _FFT_CHUNK // nfft)
+    for a in range(0, len(karr), rows):
+        kk = karr[a:a + rows, None]
+        bu, bv = mode_bracket(kk, th, ssq)
+        phase = np.exp(1j * kk * y)
+        dk = m * (bu * phase + bv * phase.conj())
+        spec = np.fft.fft(dk, n=nfft, axis=1)
+        pw = (spec.real ** 2 + spec.imag ** 2) * (dy / nfft)
+        power[a:a + rows, 0] = pw[:, 0]
+        power[a:a + rows, 1:half] = pw[:, 1:half] + pw[:, :half:-1]
+        power[a:a + rows, half] = pw[:, half]
+    q = 2.0 * np.pi / (nfft * dy) * np.arange(half + 1)
+    return q, power
 
 
 def correlation_panel(karr, d, alpha, n_y=N_Y, y_half=Y_HALF):
-    """C12(k; d) for every k in karr, by trapezoid on a shared spatial grid."""
-    karr = np.ascontiguousarray(np.atleast_1d(np.asarray(karr, dtype=float)))
-    y1 = np.linspace(-y_half - abs(d), y_half + abs(d), n_y)
-    dy = y1[1] - y1[0]
-    y2 = y1 - d
-    m1, t1, s1sq = _site_factors(y1, alpha)
-    m2, t2, s2sq = _site_factors(y2, alpha)
-    return _kernels.correlation_panel(karr, y1, m1, t1, s1sq, y2, m2, t2, s2sq, dy)
+    """C12(k; d) = Re int dy D_k(y) D_k*(y - d) for every k in karr."""
+    q, power = _spectral_power(karr, alpha, n_y, y_half)
+    return power @ np.cos(q * abs(d))
 
 
 def principal_value_grid(w0, wmax, n_omega=N_OMEGA):
@@ -102,6 +133,25 @@ class RateSet:
     k0: float
 
 
+_TABLE_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=1)
+def _table(alpha, w0, n_y, n_omega):
+    """Spectral power over [k0] + the PV k-grid, shared by every separation.
+
+    One entry: callers that change parameters every call (a parameter sweep)
+    would otherwise accumulate ~7 MB tables. The arrays are read-only because
+    every caller receives the same ones.
+    """
+    wgrid = principal_value_grid(w0, OMEGA_MAX_FACTOR * w0, n_omega)
+    karr = np.concatenate([[resonant_wavevector(w0)], resonant_wavevector(wgrid)])
+    q, power = _spectral_power(karr, alpha, n_y)
+    for arr in (wgrid, karr, q, power):
+        arr.flags.writeable = False
+    return wgrid, karr, q, power
+
+
 def rate_set(d: float, params: ModelParams, n_y=N_Y, n_omega=N_OMEGA) -> RateSet:
     """Collective rates for two soliton qubits a distance d apart.
 
@@ -113,17 +163,21 @@ def rate_set(d: float, params: ModelParams, n_y=N_Y, n_omega=N_OMEGA) -> RateSet
         raise ValueError(f"no qubit splitting at nu = {params.nu}; need nu > 1/2")
     alpha = wannier_alpha(params)
     d = abs(float(d))
-    k0 = float(resonant_wavevector(w0))
+    with _TABLE_LOCK:  # concurrent sweep workers build a missing table once
+        wgrid, karr, q, power = _table(alpha, w0, n_y, n_omega)
+    k0 = float(karr[0])
     vg0 = float(group_velocity(k0))
 
-    c11 = float(correlation_panel(k0, 0.0, alpha, n_y=n_y)[0])
-    c12 = float(correlation_panel(k0, d, alpha, n_y=n_y)[0])
+    # c11 and c12 through the same expression, so Gamma/gamma is exactly 1 at
+    # d = 0 (a matrix-vector product may sum row 0 in another order)
+    cos_qd = np.cos(q * d)
+    c11 = float(power[0] @ np.cos(q * 0.0))
+    c12 = float(power[0] @ cos_qd)
 
     wmax = OMEGA_MAX_FACTOR * w0
-    wgrid = principal_value_grid(w0, wmax, n_omega)
-    karr = resonant_wavevector(wgrid)
-    vgw = 2.0 * karr * (karr * karr + 1.0) / wgrid
-    f = correlation_panel(karr, d, alpha, n_y=n_y) / vgw
+    kw = karr[1:]
+    vgw = 2.0 * kw * (kw * kw + 1.0) / wgrid
+    f = power[1:] @ cos_qd / vgw
     f0 = c12 / vg0
     pv = principal_value_integral(f, f0, wgrid, w0, wmax)
     eta_over_gamma = pv * vg0 / (4.0 * math.pi * c11)
@@ -173,9 +227,6 @@ def coupling_amplitude(l, m, i, j, k, d, params: ModelParams):
         (1, 1): pair.a0 ** 2 * pair.a1 ** 2,
     }[(l, m)]
     tanh_pow = _BAND_TANH_POWER[(l, m)]
-    eps = float(dispersion(k))
-    cu = (k * k + 2.0 * eps) / eps
-    cv = (k * k - 2.0 * eps) / eps
     pref = (
         chi_over_g(params)
         / math.sqrt(params.n0_xi)
@@ -191,9 +242,7 @@ def coupling_amplitude(l, m, i, j, k, d, params: ModelParams):
         thi = math.tanh(yi)
         si = 1.0 / math.cosh(yi)
         orb = thj ** tanh_pow * sj ** (2.0 * alpha)
-        common = k / 2.0 + 1j * thi
-        bu = cu * common + (k / eps) * si * si
-        bv = cv * common + (k / eps) * si * si
+        bu, bv = mode_bracket(k, thi, si * si)
         phase = complex(math.cos(k * yi), math.sin(k * yi))
         return orb * thi * (bu * phase + bv * phase.conjugate())
 

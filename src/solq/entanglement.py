@@ -5,7 +5,7 @@ rho (sy ⊗ sy) rho* (sy ⊗ sy) in the product basis, concurrence
 max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)). States whose product-basis
 matrix is X-shaped (diagonal plus antidiagonal) admit two closed-form
 branches, one per antidiagonal pair; the decaying and driven steady states of
-this model have their own analytic formulas, kept as separate branches so the
+this model have their own analytic formulas, kept as separate functions so the
 routes can be checked against each other rather than collapsed.
 """
 
@@ -25,8 +25,6 @@ class ConcurrenceBranch(Enum):
     GENERAL = "general"
     X_OUTER = "x_outer"           # outer antidiagonal |rho_14| dominates
     X_INNER = "x_inner"           # inner antidiagonal |rho_23| dominates
-    DECAY_FORMULA = "decay_formula"
-    STEADY_FORMULA = "steady_formula"
 
 
 @dataclass(frozen=True)

@@ -102,9 +102,6 @@ class LatticeField:
     def density(self) -> np.ndarray:
         return self.psi.real ** 2 + self.psi.imag ** 2
 
-    def phase(self) -> np.ndarray:
-        return np.angle(self.psi)
-
     def norm_sq(self) -> float:
         return float(np.sum(self.density()) * self.grid.spacing)
 

@@ -93,8 +93,11 @@ def kernel_curvature_oracle(params):
     density D_k0 = phi0 phi1 tanh (u + v), so C12(d)/C11 = int |D^(q)|^2
     cos(qd) dq / int |D^(q)|^2 dq and kappa = int q^2 |D^|^2 / int |D^|^2.
     D is built from `mode_amplitudes` and `wannier_pair`, not from the rate
-    kernel, and decays like sech^(2 alpha), so the FFT moment is spectrally
-    accurate on a periodic box of 80 xi.
+    engine's power table, and decays like sech^(2 alpha), so the FFT moment is
+    spectrally accurate on a periodic box of 80 xi. The Bogoliubov bracket
+    (`bogoliubov.mode_bracket`) is shared with the rate engine, so this test
+    does not check it; test_couplings.py's direct-trapezoid oracle writes the
+    bracket out on its own.
     """
     k0 = float(resonant_wavevector(qubit_gap(params)))
     x = np.linspace(-40.0, 40.0, 2 ** 14, endpoint=False)

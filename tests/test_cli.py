@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from solq.cli import main, parse_config
+from solq.couplings import _table
 
 
 def read_csv(path):
@@ -104,6 +105,21 @@ def test_reruns_are_byte_identical(tmp_path):
     assert first == second
     meta = read_meta(tmp_path / "fig5b.meta")
     assert meta["seed"] == "7"
+
+
+def test_sweep_threads_give_identical_bytes(tmp_path):
+    # each run starts without a cached rate table, so with two threads both
+    # sweep workers ask for it at once; it must be built once and the
+    # outputs must not depend on the thread count
+    outputs = []
+    for threads in ("1", "2"):
+        _table.cache_clear()
+        out = tmp_path / threads
+        assert main(["steady", "--scenario", "fig5a", "--points", "6",
+                     "--threads", threads, "--out", str(out)]) == 0
+        assert _table.cache_info().misses == 1
+        outputs.append([(out / n).read_bytes() for n in ("fig5a.csv", "fig5a.meta")])
+    assert outputs[0] == outputs[1]
 
 
 def test_steady_drive_sweep(tmp_path):

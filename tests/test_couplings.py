@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from solq import _kernels
 from solq.bogoliubov import group_velocity, resonant_wavevector
 from solq.couplings import (
     N_OMEGA,
     OMEGA_MAX_FACTOR,
+    _table,
     correlation_panel,
     coupling_amplitude,
     coupling_spectrum,
@@ -136,20 +136,64 @@ def test_pv_eta_grid_refinement():
     assert abs(coarse - fine) < 1e-6 * abs(fine)
 
 
-def test_kernel_paths_agree():
-    # the jitted correlation kernel and the plain numpy one are the same math
-    karr = np.linspace(0.05, 2.0, 40)
-    d = 2.5
-    y1 = np.linspace(-42.5, 42.5, 2001)
-    dy = y1[1] - y1[0]
-    y2 = y1 - d
-    from solq.couplings import _site_factors
+def direct_correlation(k, d, alpha, n_y=5001, y_half=40.0):
+    """Re int D_k(y) D_k*(y - d) dy by the trapezoid rule on a grid widened by |d|.
 
-    m1, t1, s1 = _site_factors(y1, ALPHA)
-    m2, t2, s2 = _site_factors(y2, ALPHA)
-    a = _kernels.correlation_panel(karr, y1, m1, t1, s1, y2, m2, t2, s2, dy)
-    b = _kernels.correlation_panel_numpy(karr, y1, m1, t1, s1, y2, m2, t2, s2, dy)
-    assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+    The bracket is written out here rather than taken from `bogoliubov`, so the
+    comparison also checks `mode_bracket`.
+    """
+    y = np.linspace(-y_half - abs(d), y_half + abs(d), n_y)
+    eps = math.sqrt(k * k * (k * k + 2.0))
+
+    def density(x):
+        th = np.tanh(x)
+        sech = 1.0 / np.cosh(x)
+        common = k / 2.0 + 1j * th
+        bu = (k * k + 2.0 * eps) / eps * common + (k / eps) * sech ** 2
+        bv = (k * k - 2.0 * eps) / eps * common + (k / eps) * sech ** 2
+        return th * th * sech ** (2.0 * alpha) * (
+            bu * np.exp(1j * k * x) + bv * np.exp(-1j * k * x)
+        )
+
+    return np.trapezoid((density(y) * np.conj(density(y - d))).real, y)
+
+
+def test_panel_matches_direct_trapezoid():
+    # the spectral panel against the direct sum, from the smallest PV k to the
+    # cutoff and at an off-grid separation
+    k_max = float(resonant_wavevector(OMEGA_MAX_FACTOR * W0))
+    d_values = (0.0, 0.7, 2.5 + math.pi * 1e-3, 6.0)
+    karr = np.array([0.05, K0, 1.0, k_max])
+    for d in d_values:
+        panel = correlation_panel(karr, d, ALPHA)
+        for k, got in zip(karr, panel):
+            c11 = direct_correlation(k, 0.0, ALPHA)
+            want = direct_correlation(k, d, ALPHA)
+            assert abs(got - want) < 1e-10 * c11, (k, d, got, want)
+
+
+def test_rate_table_cache_tracks_its_key():
+    # every input the cached table depends on is in its key: after any other
+    # parameter set or grid override, and on a repeat, rate_set must return
+    # what it returns from a cold cache
+    cases = [
+        (P, {}),
+        (ModelParams(nu=0.7), {}),
+        (ModelParams(mass_ratio=1.3), {}),
+        (ModelParams(wannier_convention="eigenstate"), {}),
+        (P, {"n_y": 401}),
+        (P, {"n_omega": 801}),
+        (P, {}),
+    ]
+    cold = []
+    for params, grids in cases:
+        _table.cache_clear()
+        cold.append(rate_set(2.5, params, **grids))
+    for (params, grids), want in zip(cases, cold):
+        assert rate_set(2.5, params, **grids) == want
+        hits = _table.cache_info().hits
+        assert rate_set(2.5, params, **grids) == want
+        assert _table.cache_info().hits == hits + 1
 
 
 def test_spatial_panel_is_converged():
