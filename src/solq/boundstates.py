@@ -79,23 +79,15 @@ class WannierPair:
 def wannier_pair(params: ModelParams, center: float = 0.0) -> WannierPair:
     """Build the normalized orbital pair for the configured alpha.
 
-    A0 is analytic; A1 is fixed by numerical quadrature of the tanh-weighted
-    profile (the test suite checks it against the closed form sqrt(1+2 alpha)).
+    Both are analytic: A1 = 1/sqrt(int A0^2 sech^(2 alpha) tanh^2) =
+    sqrt(1 + 2 alpha), because that integral is 1/(1 + 2 alpha).
     Sign convention: phi1 >= 0 for x > center.
     """
     alpha = wannier_alpha(params)
     if alpha <= 0.0:
         raise ValueError(f"need a positive sech exponent, got alpha = {alpha}")
-    a0 = _sech_norm(alpha)
-
-    def unnormalized_sq(y):
-        return (a0 * math.cosh(y) ** (-alpha) * math.tanh(y)) ** 2
-
-    norm_sq, err = quad(unnormalized_sq, -40.0, 40.0, epsabs=1e-13, epsrel=1e-12)
-    if not norm_sq > 0.0 or err > 1e-9:
-        raise RuntimeError("orbital normalization quadrature failed to converge")
-    a1 = 1.0 / math.sqrt(norm_sq)
-    return WannierPair(alpha=alpha, center=center, a0=a0, a1=a1)
+    return WannierPair(alpha=alpha, center=center, a0=_sech_norm(alpha),
+                       a1=math.sqrt(1.0 + 2.0 * alpha))
 
 
 def dipole_element(pair: WannierPair) -> float:

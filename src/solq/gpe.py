@@ -10,6 +10,11 @@ the background rather than being subtracted). Box experiments run on a
 periodic grid with steep tanh walls added as an external potential, which
 keeps the spectral kinetic step exact.
 
+Every run goes through one stepper, `_strang` (K/2 N K/2 per step). The
+trailing K/2 of a step and the leading K/2 of the next fuse into one kinetic
+factor, so a step costs one FFT pair unless the caller looks at the full
+state: at a record, at the last step, or for a per-step constraint.
+
 The impurity module relaxes the two localized orbitals inside a frozen
 soliton (one-way coupling) by parity-projected imaginary time.
 """
@@ -106,17 +111,43 @@ class LatticeField:
         return float(np.sum(self.density()) * self.grid.spacing)
 
 
-def gpe_energy(field: LatticeField, extra_potential=None) -> float:
+def gpe_energy(field: LatticeField) -> float:
     """Energy functional E = int 1/2|psi_x|^2 + 1/2|psi|^4 + V|psi|^2."""
     grid = field.grid
-    psi = field.psi
-    dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(psi))
+    dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(field.psi))
     dens = field.density()
-    pot = grid.wall_potential()
-    if extra_potential is not None:
-        pot = pot + extra_potential
-    integrand = 0.5 * np.abs(dpsi) ** 2 + 0.5 * dens ** 2 + pot * dens
+    integrand = 0.5 * np.abs(dpsi) ** 2 + 0.5 * dens ** 2 + grid.wall_potential() * dens
     return float(np.sum(integrand) * grid.spacing)
+
+
+def _strang(psi, grid, n_steps, dt, nonlinear, mass=1.0,
+            kind=StepKind.REAL_TIME, record_at=(), constrain=None):
+    """n_steps Strang steps K/2 N K/2 of -1/(2 mass) d2/dx2 and the pointwise
+    nonlinear(psi); returns (psi, records), (t, psi-copy) at the steps in
+    record_at. constrain(psi) acts on the full state after every step. A
+    non-finite value (checked every 100 steps and at the last) aborts.
+    """
+    rate = 1j if kind is StepKind.REAL_TIME else 1.0
+    half = np.exp(-rate * (grid.k ** 2 / (2.0 * mass)) * (0.5 * dt))
+    full = half * half
+    records = []
+    phi = half * np.fft.fft(psi)  # the state after the leading K/2
+    for step in range(1, n_steps + 1):
+        psi = nonlinear(np.fft.ifft(phi))
+        phi = np.fft.fft(psi)
+        if constrain is None and step not in record_at and step < n_steps:
+            phi *= full
+        else:
+            psi = np.fft.ifft(half * phi)
+            if constrain is not None:
+                psi = constrain(psi)
+            if step in record_at:
+                records.append((step * dt, psi.copy()))
+            if step < n_steps:
+                phi = half * np.fft.fft(psi)
+        if (step % 100 == 0 or step == n_steps) and not np.all(np.isfinite(psi)):
+            raise RuntimeError(f"field diverged (non-finite value at step {step})")
+    return psi, records
 
 
 def split_step_evolve(
@@ -124,7 +155,6 @@ def split_step_evolve(
     t_final: float,
     dt: float | None = None,
     kind: StepKind = StepKind.REAL_TIME,
-    extra_potential=None,
     n_records: int = 0,
 ):
     """Propagate the field; returns (field, records).
@@ -149,39 +179,32 @@ def split_step_evolve(
     n_steps = max(1, int(math.ceil(t_final / dt)))
     dt = t_final / n_steps
     pot = grid.wall_potential()
-    if extra_potential is not None:
-        pot = pot + np.asarray(extra_potential, dtype=float)
-
     psi = np.ascontiguousarray(field.psi, dtype=complex)
-    if kind is StepKind.REAL_TIME:
-        half_kin = np.exp(-0.5j * grid.k ** 2 * (0.5 * dt))
-        stepper = _kernels.phase_step
-    else:
-        half_kin = np.exp(-0.5 * grid.k ** 2 * (0.5 * dt))
-        stepper = _kernels.decay_step
+    record_at = {int(round((i + 1) * n_steps / n_records)) for i in range(n_records)}
+
     norm0 = math.sqrt(np.sum(psi.real ** 2 + psi.imag ** 2) * dx)
 
-    record_at = set()
-    if n_records > 0:
-        record_at = {
-            int(round((i + 1) * n_steps / n_records)) for i in range(n_records)
-        }
-    records = []
+    def renormalize(p):
+        return p * (norm0 / math.sqrt(np.sum(p.real ** 2 + p.imag ** 2) * dx))
 
-    for step in range(1, n_steps + 1):
-        psi = np.fft.ifft(half_kin * np.fft.fft(psi))
-        psi = stepper(psi, pot, 1.0, dt)
-        psi = np.fft.ifft(half_kin * np.fft.fft(psi))
-        if kind is StepKind.IMAGINARY_TIME:
-            norm = math.sqrt(np.sum(psi.real ** 2 + psi.imag ** 2) * dx)
-            psi = psi * (norm0 / norm)
-        if step % 100 == 0 or step == n_steps:
-            if not np.all(np.isfinite(psi)):
-                raise RuntimeError(f"field diverged (non-finite value at step {step})")
-        if step in record_at:
-            records.append((step * dt, psi.copy()))
-
+    real = kind is StepKind.REAL_TIME
+    psi, records = _strang(
+        psi, grid, n_steps, dt,
+        lambda p: (_kernels.phase_step if real else _kernels.decay_step)(p, pot, 1.0, dt),
+        kind=kind, record_at=record_at, constrain=None if real else renormalize)
     return LatticeField(grid=grid, psi=psi), records
+
+
+def _relax_fixed_mu(grid, psi, stages, constrain=None):
+    """Imaginary time at fixed chemical potential mu = 1 over (dt, t) stages:
+    each step carries an e^{+mu dt} lift, so no norm constraint is needed."""
+    pot = grid.wall_potential()
+    for dt, t_stage in stages:
+        lift = math.exp(dt)
+        psi, _ = _strang(psi, grid, int(round(t_stage / dt)), dt,
+                         lambda p: _kernels.decay_step(p, pot, 1.0, dt) * lift,
+                         kind=StepKind.IMAGINARY_TIME, constrain=constrain)
+    return psi
 
 
 @lru_cache(maxsize=8)
@@ -189,32 +212,22 @@ def box_background(grid: Grid1D) -> np.ndarray:
     """Stationary soliton-free field of the grid (ones when periodic).
 
     For a box the fixed-chemical-potential stationary state is found by
-    imaginary time without a norm constraint (each step carries an e^{+mu t}
-    counterweight, so the interior density relaxes locally to 1 instead of
-    being set by an arbitrary normalization). A Thomas-Fermi start plus a
-    coarse-then-fine schedule converges to machine level; skipping this
-    relaxation and using the Thomas-Fermi envelope directly turns out to
-    eject deep gray solitons from the wall junctions.
+    imaginary time without a norm constraint, so the interior density relaxes
+    locally to 1 instead of being set by an arbitrary normalization. A
+    Thomas-Fermi start plus a coarse-then-fine schedule converges to machine
+    level; skipping this relaxation and using the Thomas-Fermi envelope
+    directly turns out to eject deep gray solitons from the wall junctions.
     """
     if grid.boundary is Boundary.PERIODIC:
         return np.ones(grid.points)
-    pot = grid.wall_potential()
-    psi = np.sqrt(np.maximum(0.0, 1.0 - pot / WALL_HEIGHT)).astype(complex)
-    for dt, t_stage in ((0.01, 10.0), (DT_CAP_FACTOR * grid.spacing ** 2, 1.0)):
-        kin = np.exp(-grid.k ** 2 * (0.5 * 0.5 * dt))
-        lift = math.exp(dt)  # e^{+mu dt}, mu = 1
-        for _ in range(int(round(t_stage / dt))):
-            psi = np.fft.ifft(kin * np.fft.fft(psi))
-            psi = _kernels.decay_step(psi, pot, 1.0, dt) * lift
-            psi = np.fft.ifft(kin * np.fft.fft(psi))
-    out = np.abs(psi)
+    tf = np.sqrt(np.maximum(0.0, 1.0 - grid.wall_potential() / WALL_HEIGHT))
+    stages = ((0.01, 10.0), (DT_CAP_FACTOR * grid.spacing ** 2, 1.0))
+    out = np.abs(_relax_fixed_mu(grid, tf.astype(complex), stages))
     out.setflags(write=False)
     return out
 
 
-def imprint_solitons(
-    grid: Grid1D, positions, relax_time: float = 3.0
-) -> LatticeField:
+def imprint_solitons(grid: Grid1D, positions, relax_time: float = 3.0) -> LatticeField:
     """Dark-soliton chain with nodes at the given positions.
 
     Starts from a product of tanh cores on the relaxed background, then runs
@@ -246,17 +259,12 @@ def imprint_solitons(
         # would bias every node half a cell leftward and break the mirror
         # symmetry of a symmetric chain by a full grid cell
         sign *= np.sign(core)
-    pot = grid.wall_potential()
 
     if relax_time > 0.0:
-        for dt, t_stage in ((0.003, relax_time), (DT_CAP_FACTOR * grid.spacing ** 2, 0.5)):
-            kin = np.exp(-grid.k ** 2 * (0.5 * 0.5 * dt))
-            lift = math.exp(dt)
-            for _ in range(int(round(t_stage / dt))):
-                psi = np.fft.ifft(kin * np.fft.fft(psi))
-                psi = _kernels.decay_step(psi, pot, 1.0, dt) * lift
-                psi = np.fft.ifft(kin * np.fft.fft(psi))
-                psi = np.abs(psi) * sign
+        psi = _relax_fixed_mu(
+            grid, psi, ((0.003, relax_time), (DT_CAP_FACTOR * grid.spacing ** 2, 0.5)),
+            constrain=lambda p: np.abs(p) * sign,
+        )
     return LatticeField(grid=grid, psi=psi.astype(complex))
 
 
@@ -297,31 +305,29 @@ def relax_impurity(
     depth = params.nu * (params.nu + 1.0) / (2.0 * mr)
     pot = depth * soliton_field.density() + grid.wall_potential()
 
-    x = grid.x
     n = grid.points
     flip = (n - np.arange(n)) % n  # x -> -x on the periodic grid
-    kin = np.exp(-grid.k ** 2 / (2.0 * mr) * (0.5 * dt))
+    decay = np.exp(-dt * pot)
+    n_steps = int(round(t_relax / dt))
 
     def relax(seed, parity):
-        psi = seed.astype(complex)
-        n_steps = int(round(t_relax / dt))
-        for step in range(n_steps):
-            psi = np.fft.ifft(kin * np.fft.fft(psi))
-            psi = psi * np.exp(-dt * pot)
-            psi = np.fft.ifft(kin * np.fft.fft(psi))
+        # every factor of a step is linear and even, so projecting after the
+        # potential step rescales the state only; the final call sets the scale
+        def project(psi):
             psi = 0.5 * (psi + parity * psi[flip])
             nrm = math.sqrt(np.sum(psi.real ** 2 + psi.imag ** 2) * grid.spacing)
             if nrm == 0.0 or not np.isfinite(nrm):
-                raise RuntimeError(f"impurity relaxation collapsed at step {step}")
-            psi /= nrm
-        return psi
+                raise RuntimeError("impurity relaxation collapsed (zero or non-finite norm)")
+            return psi / nrm
 
-    width = max(1.0, 1.0 / max(params.nu, 0.25))
-    phi0 = relax(np.exp(-(x / (2.0 * width)) ** 2), +1.0)
-    phi1 = relax(x * np.exp(-(x / (2.0 * width)) ** 2), -1.0)
+        psi, _ = _strang(seed.astype(complex), grid, n_steps, dt, lambda p: project(p * decay),
+                         mass=mr, kind=StepKind.IMAGINARY_TIME)
+        return project(psi)
 
-    e0 = _rayleigh(phi0, grid, pot, mr) - depth
-    e1 = _rayleigh(phi1, grid, pot, mr) - depth
+    x = grid.x
+    gauss = np.exp(-(x / (2.0 * max(1.0, 1.0 / max(params.nu, 0.25)))) ** 2)
+    phi0, phi1 = relax(gauss, +1.0), relax(x * gauss, -1.0)
+    e0, e1 = (_rayleigh(phi, grid, pot, mr) - depth for phi in (phi0, phi1))
     return ImpurityStates(
         phi0=LatticeField(grid=grid, psi=phi0),
         phi1=LatticeField(grid=grid, psi=phi1),
@@ -391,17 +397,11 @@ def multi_soliton_experiment(
     offsets = (np.arange(count) - 0.5 * (count - 1)) * spacing
     field = imprint_solitons(grid, offsets)
 
-    _, records = split_step_evolve(
-        field, t_final, kind=StepKind.REAL_TIME, n_records=n_records
-    )
     first = _find_minima(field.density(), grid)
     if len(first) != count:
-        raise RuntimeError(
-            f"expected {count} cores after imprinting, found {len(first)}"
-        )
-    times = [0.0]
-    rows = [first]
-    lost_at = None
+        raise RuntimeError(f"expected {count} cores after imprinting, found {len(first)}")
+    _, records = split_step_evolve(field, t_final, n_records=n_records)
+    times, rows, lost_at = [0.0], [first], None
     for t, psi in records:
         found = _find_minima(psi.real ** 2 + psi.imag ** 2, grid)
         if len(found) != count:

@@ -97,6 +97,19 @@ def wannier_alpha(params: ModelParams) -> float:
 _TO_PHYSICAL_KINDS = ("length", "rate", "time")
 
 
+def _scale(kind: str, params: ModelParams) -> float:
+    """The SI scale of a kind: physical_xi for a length, physical_mu otherwise."""
+    if kind not in _TO_PHYSICAL_KINDS:
+        raise ValueError(f"unknown kind {kind!r}, expected one of {_TO_PHYSICAL_KINDS}")
+    if kind == "length":
+        if params.physical_xi is None:
+            raise ValueError("physical_xi is not set; cannot convert a length")
+        return params.physical_xi
+    if params.physical_mu is None:
+        raise ValueError(f"physical_mu is not set; cannot convert a {kind}")
+    return params.physical_mu
+
+
 def to_physical(value: float, kind: str, params: ModelParams) -> float:
     """Convert a dimensionless value to SI using the configured scales.
 
@@ -104,29 +117,11 @@ def to_physical(value: float, kind: str, params: ModelParams) -> float:
     (Hz), "time" divides by physical_mu (seconds). Raises if the needed scale
     is not set on params.
     """
-    if kind not in _TO_PHYSICAL_KINDS:
-        raise ValueError(f"unknown kind {kind!r}, expected one of {_TO_PHYSICAL_KINDS}")
-    if kind == "length":
-        if params.physical_xi is None:
-            raise ValueError("physical_xi is not set; cannot convert a length")
-        return value * params.physical_xi
-    if params.physical_mu is None:
-        raise ValueError(f"physical_mu is not set; cannot convert a {kind}")
-    if kind == "rate":
-        return value * params.physical_mu
-    return value / params.physical_mu
+    scale = _scale(kind, params)
+    return value / scale if kind == "time" else value * scale
 
 
 def from_physical(value: float, kind: str, params: ModelParams) -> float:
     """Inverse of to_physical (SI in, dimensionless out)."""
-    if kind not in _TO_PHYSICAL_KINDS:
-        raise ValueError(f"unknown kind {kind!r}, expected one of {_TO_PHYSICAL_KINDS}")
-    if kind == "length":
-        if params.physical_xi is None:
-            raise ValueError("physical_xi is not set; cannot convert a length")
-        return value / params.physical_xi
-    if params.physical_mu is None:
-        raise ValueError(f"physical_mu is not set; cannot convert a {kind}")
-    if kind == "rate":
-        return value / params.physical_mu
-    return value * params.physical_mu
+    scale = _scale(kind, params)
+    return value * scale if kind == "time" else value / scale

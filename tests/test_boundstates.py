@@ -63,12 +63,18 @@ def test_sech_normalization_analytic_point():
 
 
 def test_a1_closed_form():
-    # the quadrature route must land on A1/A0-ratio sqrt(1 + 2 alpha)
+    # the closed form sqrt(1 + 2 alpha) against adaptive quadrature of the
+    # unnormalized tanh-weighted profile
     rng = np.random.default_rng(9)
     for _ in range(20):
         nu = rng.uniform(0.3, 2.0)
         pair = wannier_pair(ModelParams(nu=nu))
-        assert abs(pair.a1 - math.sqrt(1.0 + 2.0 * pair.alpha)) < 1e-9
+        norm_sq, err = quad(
+            lambda y: (pair.a0 * math.cosh(y) ** (-pair.alpha) * math.tanh(y)) ** 2,
+            -40.0, 40.0, epsabs=1e-13, epsrel=1e-12,
+        )
+        assert err < 1e-9
+        assert abs(pair.a1 - 1.0 / math.sqrt(norm_sq)) < 1e-9
 
 
 def test_default_pair_values():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from solq.gpe import (
     Boundary,
@@ -160,13 +161,20 @@ def test_chain_must_fit_the_box():
         multi_soliton_experiment(0, 2.5, 40.0, 1.0)
 
 
-def test_impurity_levels_and_grid_refinement():
-    params = ModelParams()
-    results = {}
+@pytest.fixture(scope="module")
+def impurity_60xi():
+    """Frozen single soliton and its impurity orbitals on the 60-xi box, keyed
+    by grid size."""
+    out = {}
     for pts in (1024, 2048):
         g = Grid1D(points=pts, length=60.0, boundary=Boundary.BOX)
         f = imprint_solitons(g, [0.0])
-        results[pts] = relax_impurity(f, params)
+        out[pts] = (f, relax_impurity(f, ModelParams()))
+    return out
+
+
+def test_impurity_levels_and_grid_refinement(impurity_60xi):
+    results = {pts: st for pts, (_, st) in impurity_60xi.items()}
     st = results[2048]
     analytic = -(0.75 ** 2) / (2.0 * 1.56)
     assert abs(st.energies[0] - analytic) < 0.01 * abs(analytic)
@@ -192,3 +200,121 @@ def test_impurity_levels_and_grid_refinement():
     # ground level insensitive to grid resolution
     e_coarse = results[1024].energies[0]
     assert abs(st.energies[0] - e_coarse) < 1e-3 * abs(e_coarse)
+
+
+def _plain_strang(psi, grid, n_steps, dt, nonlinear, mass=1.0, imaginary=False,
+                  after_step=None, record_at=()):
+    """The unfused reference: both half-kinetic FFT pairs in every step."""
+    rate = 1.0 if imaginary else 1j
+    half_kin = np.exp(-rate * grid.k ** 2 / (2.0 * mass) * (0.5 * dt))
+    records = []
+    for step in range(1, n_steps + 1):
+        psi = np.fft.ifft(half_kin * np.fft.fft(psi))
+        psi = nonlinear(psi)
+        psi = np.fft.ifft(half_kin * np.fft.fft(psi))
+        if after_step is not None:
+            psi = after_step(psi)
+        if step in record_at:
+            records.append(psi.copy())
+    return psi, records
+
+
+def _rel_err(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def _density(psi):
+    return psi.real ** 2 + psi.imag ** 2
+
+
+def test_fused_evolution_matches_plain_strang_loop():
+    g = Grid1D(points=256, length=30.0, boundary=Boundary.BOX)
+    pot = g.wall_potential()
+    dx = g.spacing
+
+    # real time on a box soliton: every record and the final field
+    f = imprint_solitons(g, [0.0])
+    n_steps, n_records = 300, 7
+    dt = 0.1 * dx ** 2
+    record_at = {int(round((i + 1) * n_steps / n_records)) for i in range(n_records)}
+    out, records = split_step_evolve(f, n_steps * dt, dt=dt, n_records=n_records)
+    ref, ref_records = _plain_strang(
+        f.psi, g, n_steps, dt,
+        lambda p: p * np.exp(-1j * dt * (_density(p) + pot)), record_at=record_at,
+    )
+    assert len(records) == n_records
+    for (t, psi), psi_ref in zip(records, ref_records):
+        assert _rel_err(psi, psi_ref) < 1e-10
+    assert _rel_err(out.psi, ref) < 1e-10
+    assert records[-1][0] == n_steps * dt
+
+    # imaginary time, renormalized to the initial norm after every step
+    rng = np.random.default_rng(11)
+    psi0 = (1.0 + 0.1 * rng.standard_normal(256)).astype(complex)
+    norm0 = math.sqrt(np.sum(_density(psi0)) * dx)
+    out, _ = split_step_evolve(LatticeField(grid=g, psi=psi0), n_steps * dt, dt=dt,
+                               kind=StepKind.IMAGINARY_TIME)
+    ref, _ = _plain_strang(
+        psi0, g, n_steps, dt, lambda p: p * np.exp(-dt * (_density(p) + pot)),
+        imaginary=True,
+        after_step=lambda p: p * (norm0 / math.sqrt(np.sum(_density(p)) * dx)),
+    )
+    assert _rel_err(out.psi, ref) < 1e-10
+
+
+def test_fused_relaxations_match_plain_strang_loop():
+    # box background on an uncached grid: fixed-mu imaginary time in two stages
+    g = Grid1D(points=256, length=28.0, boundary=Boundary.BOX)
+    pot = g.wall_potential()
+    ref = np.sqrt(np.maximum(0.0, 1.0 - pot / 50.0)).astype(complex)
+    for dt, t_stage in ((0.01, 10.0), (0.1 * g.spacing ** 2, 1.0)):
+        ref, _ = _plain_strang(
+            ref, g, int(round(t_stage / dt)), dt,
+            lambda p: p * np.exp(-dt * (_density(p) + pot)) * math.exp(dt), imaginary=True,
+        )
+    assert _rel_err(box_background.__wrapped__(g), np.abs(ref)) < 1e-10
+
+    # impurity orbitals: parity projection and normalization after every step
+    params = ModelParams()
+    g = Grid1D(points=512, length=40.0, boundary=Boundary.BOX)
+    f = imprint_solitons(g, [0.0])
+    t_relax, dt = 2.0, 0.01
+    st = relax_impurity(f, params, t_relax=t_relax, dt=dt)
+    mr = params.mass_ratio
+    depth = params.nu * (params.nu + 1.0) / (2.0 * mr)
+    well = depth * f.density() + g.wall_potential()
+    flip = (512 - np.arange(512)) % 512
+    x = g.x
+    gauss = np.exp(-(x / (2.0 * max(1.0, 1.0 / params.nu))) ** 2)
+    for seed, parity, phi in ((gauss, 1.0, st.phi0), (x * gauss, -1.0, st.phi1)):
+
+        def project(p, parity=parity):
+            p = 0.5 * (p + parity * p[flip])
+            return p / math.sqrt(np.sum(_density(p)) * g.spacing)
+
+        ref, _ = _plain_strang(
+            seed.astype(complex), g, int(round(t_relax / dt)), dt,
+            lambda p: p * np.exp(-dt * well), mass=mr, imaginary=True, after_step=project,
+        )
+        assert _rel_err(phi.psi, ref) < 1e-10
+
+
+def test_impurity_ground_level_matches_eigensolver(impurity_60xi):
+    # oracle: the finite-difference Hamiltonian of the same frozen-soliton
+    # well plus walls, diagonalized directly
+    params = ModelParams()
+    f, st = impurity_60xi[2048]
+    g = f.grid
+    mr = params.mass_ratio
+    depth = params.nu * (params.nu + 1.0) / (2.0 * mr)
+    well = depth * f.density() + g.wall_potential()
+    hop = 1.0 / (2.0 * mr * g.spacing ** 2)
+    levels = eigh_tridiagonal(
+        well + 2.0 * hop, np.full(g.points - 1, -hop),
+        eigvals_only=True, select="i", select_range=(0, 1),
+    ) - depth
+    assert abs(st.energies[0] - levels[0]) < 2e-4 * abs(levels[0])
+    # the lowest odd state lies above the plateau in both (their values
+    # differ: the relaxed one depends on t_relax)
+    assert levels[1] > 0.0
+    assert st.energies[1] > 0.0
