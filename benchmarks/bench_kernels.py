@@ -1,15 +1,21 @@
-"""Timing comparison of the jitted field-solver steps against the numpy ones.
+"""Kernel timings: the GPE field steps and the qubit-dynamics layers.
 
 Run:  python3 benchmarks/bench_kernels.py
-The jitted path needs numba installed (pip install solq[fast]); without it,
-or with SOLQ_PURE_NUMPY=1, both columns time the same numpy code.
+The field-step section compares the jitted steps against the numpy ones. The
+jitted path needs numba installed (pip install solq[fast]); without it, or
+with SOLQ_PURE_NUMPY=1, both columns time the same numpy code. The dynamics
+section prints the per-call time of the three layers of a concurrence
+trajectory: the Liouvillian build, one 301-point driven `evolve` and one
+Wootters `concurrence`.
 """
 
 import time
 
 import numpy as np
 
-from solq import _kernels
+from solq import _kernels, dynamics, entanglement
+from solq.couplings import rate_set
+from solq.model import ModelParams
 
 
 def _time(fn, *args, repeat=5):
@@ -44,6 +50,26 @@ def bench_field_steps():
               f"   speedup {t_np / t_hot:5.1f}x   max diff {err:.2e}")
 
 
+def bench_dynamics():
+    rates = rate_set(2.5, ModelParams())
+    drive = dynamics.DriveParams(omega_rabi=0.35)
+    t_grid = np.linspace(0.0, 30.0, 301)
+    ground = dynamics.basis_state("gg")
+    state = dynamics.evolve(ground, rates, t_grid, drive=drive).states[-1]
+    for label, fn, calls in (
+        ("build_liouvillian", lambda: dynamics.build_liouvillian(rates, drive), 200),
+        ("evolve, 301 points", lambda: dynamics.evolve(ground, rates, t_grid, drive=drive), 20),
+        ("concurrence", lambda: entanglement.concurrence(state), 1000),
+    ):
+
+        def many(fn=fn, calls=calls):
+            for _ in range(calls):
+                fn()
+
+        print(f"{label:18s} {_time(many) / calls * 1e3:8.3f} ms per call")
+
+
 if __name__ == "__main__":
     print(f"numba available: {_kernels.HAVE_NUMBA}, pure-numpy override: {_kernels.PURE_NUMPY}")
     bench_field_steps()
+    bench_dynamics()

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from solq import dynamics
 from solq.couplings import RateSet
 from solq.dynamics import (
     Basis,
@@ -52,18 +54,96 @@ def dicke_matrix_from_init(init):
     return DensityMatrix4(m, basis=Basis.DICKE)
 
 
+# site lowering operators in the product basis ee, eg, ge, gg
+SM1 = np.zeros((4, 4)); SM1[2, 0] = 1.0; SM1[3, 1] = 1.0
+SM2 = np.zeros((4, 4)); SM2[1, 0] = 1.0; SM2[3, 2] = 1.0
+SP1, SP2 = SM1.T, SM2.T
+
+
+def sandwich_apply(rho, rates, drive):
+    """drho/dt written term by term as operator products on the 4x4 matrix."""
+    big, eta = rates.Gamma_over_gamma, rates.eta_over_gamma
+    h = eta * (SP1 @ SM2 + SP2 @ SM1)
+    if drive is not None:
+        om1 = drive.omega_rabi
+        om2 = om1 if drive.omega_rabi_2 is None else drive.omega_rabi_2
+        h = h - 0.5 * (om1 * (SP1 + SM1) + om2 * (SP2 + SM2))
+        h = h + drive.detuning * (SP1 @ SM1 + SP2 @ SM2)
+    gmat = np.array([[1.0, big], [big, 1.0]])
+    sm, sp = (SM1, SM2), (SP1, SP2)
+    out = -1j * (h @ rho - rho @ h)
+    for i in range(2):
+        for j in range(2):
+            anti = sp[i] @ sm[j]
+            out = out + gmat[i, j] * (sm[j] @ rho @ sp[i]
+                                      - 0.5 * (anti @ rho + rho @ anti))
+    return out
+
+
+def sandwich_generator(rates, drive):
+    """The 16x16 generator column by column from `sandwich_apply`."""
+    lop = np.empty((16, 16), dtype=complex)
+    for col in range(16):
+        unit = np.zeros(16, dtype=complex)
+        unit[col] = 1.0
+        lop[:, col] = sandwich_apply(unit.reshape(4, 4), rates, drive).ravel()
+    return lop
+
+
+GENERATOR_CASES = (
+    (make_rates(0.3, -0.2), None),
+    (make_rates(-0.6, 0.4), DriveParams(omega_rabi=0.5)),
+    (make_rates(-0.4, 0.3), DriveParams(omega_rabi=0.7, detuning=0.2, omega_rabi_2=0.25)),
+)
+
+NOT_HERMITIAN = np.eye(4, dtype=complex) / 4.0
+NOT_HERMITIAN[0, 1] = 0.3
+BAD_MATRICES = (
+    NOT_HERMITIAN,  # not Hermitian
+    np.eye(4, dtype=complex) / 2.0,  # trace 2
+    np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex),  # negative eigenvalue
+)
+
+
 def test_density_matrix_validation():
-    bad = np.eye(4, dtype=complex) / 4.0
-    bad[0, 1] = 0.3  # not Hermitian
-    with pytest.raises(ValueError):
-        DensityMatrix4(bad)
-    with pytest.raises(ValueError):
-        DensityMatrix4(np.eye(4, dtype=complex) / 2.0)  # trace 2
-    neg = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-    with pytest.raises(ValueError):
-        DensityMatrix4(neg)
+    rng = np.random.default_rng(5)
+    good = np.array([random_density(rng).matrix for _ in range(5)])
+    states = DensityMatrix4._stack(good, Basis.DICKE)
+    assert len(states) == 5 and all(st.basis is Basis.DICKE for st in states)
+    assert all(np.array_equal(st.matrix, m) for st, m in zip(states, good))
+    for bad in BAD_MATRICES:
+        with pytest.raises(ValueError) as alone:
+            DensityMatrix4(bad)
+        # in a stack, the same matrix fails with the same message
+        stack = good.copy()
+        stack[3] = bad
+        with pytest.raises(ValueError) as batched:
+            DensityMatrix4._stack(stack, Basis.COMPUTATIONAL)
+        assert str(batched.value) == str(alone.value)
     with pytest.raises(ValueError):
         DensityMatrix4(np.eye(3, dtype=complex) / 3.0)
+
+
+def test_trajectories_are_validated_as_one_batch(monkeypatch):
+    shapes = []
+    check = dynamics._validate_stack
+
+    def spy(m):
+        shapes.append(m.shape)
+        check(m)
+
+    monkeypatch.setattr(dynamics, "_validate_stack", spy)
+    times = np.linspace(0.0, 1.0, 7)
+    evolve(basis_state("eg"), make_rates(0.3, 0.1), times)
+    analytic_undriven({"rho_ee": 1.0}, make_rates(0.3, 0.1), times)
+    assert shapes == [(1, 4, 4), (7, 4, 4), (7, 4, 4)]
+    # a coherence outside the positivity cone fails on the first snapshot
+    init = {"rho_ss": 0.2, "rho_aa": 0.2, "rho_sa": 0.5}
+    with pytest.raises(ValueError) as alone:
+        dicke_matrix_from_init(init)
+    with pytest.raises(ValueError) as batched:
+        analytic_undriven(init, make_rates(0.3, 0.1), times)
+    assert str(batched.value) == str(alone.value)
 
 
 def test_basis_state_labels():
@@ -104,16 +184,26 @@ def test_generator_is_trace_free_and_hermiticity_preserving():
         assert np.max(np.abs(out - out.conj().T)) < 1e-14
 
 
+def test_liouvillian_matches_sandwich_oracle():
+    for rates, drive in GENERATOR_CASES:
+        lop = build_liouvillian(rates, drive)
+        oracle = sandwich_generator(rates, drive)
+        for col in range(16):
+            assert np.max(np.abs(lop[:, col] - oracle[:, col])) < 1e-15
+
+
 def test_liouvillian_matrix_matches_apply():
     rng = np.random.default_rng(8)
     rates = make_rates(-0.4, 0.3)
     drive = DriveParams(omega_rabi=0.7, detuning=0.2)
-    lop = build_liouvillian(rates, drive)
     for _ in range(20):
         dm = random_density(rng)
         direct = liouvillian_apply(dm, rates, drive)
-        via_matrix = (lop @ dm.matrix.ravel()).reshape(4, 4)
-        assert np.max(np.abs(direct - via_matrix)) < 1e-14
+        oracle = sandwich_apply(dm.matrix, rates, drive)
+        assert np.max(np.abs(direct - oracle)) < 1e-14
+        in_dicke = liouvillian_apply(dicke_transform(dm), rates, drive)
+        u = dynamics._U_DICKE
+        assert np.max(np.abs(in_dicke - u @ oracle @ u)) < 1e-14
 
 
 def test_evolve_matches_closed_form_decay():
@@ -130,6 +220,40 @@ def test_evolve_matches_closed_form_decay():
             diff = np.abs(dicke_transform(got).matrix - want.matrix)
             worst = max(worst, float(diff.max()))
         assert worst < 1e-8
+
+
+def test_evolve_matches_closed_form_decay_to_roundoff():
+    rng = np.random.default_rng(14)
+    times = np.linspace(0.0, 5.0, 11)
+    for big, eta in ((0.3, -0.2), (-0.8, 0.5), (1.0, 0.1)):
+        rates = make_rates(big, eta)
+        init = random_decay_class_init(rng)
+        evolved = evolve(dicke_transform(dicke_matrix_from_init(init)), rates, times)
+        reference = analytic_undriven(init, rates, times)
+        for got, want in zip(evolved, reference):
+            assert np.max(np.abs(dicke_transform(got).matrix - want.matrix)) < 1e-12
+
+
+def test_evolve_matches_exponential_on_irregular_grid():
+    # every snapshot against one exponential from the start, not the stepping
+    rng = np.random.default_rng(29)
+    rates, drive = GENERATOR_CASES[2]
+    # one long last step takes the exponential through several squarings
+    times = np.concatenate(([0.3], 0.3 + np.sort(rng.uniform(0.0, 12.0, 40)), [40.0]))
+    state0 = random_density(rng)
+    traj = evolve(state0, rates, times, drive=drive)
+    lop = sandwich_generator(rates, drive)
+    for t, got in zip(times, traj.states):
+        want = (expm(lop * (t - times[0])) @ state0.matrix.ravel()).reshape(4, 4)
+        assert np.max(np.abs(got.matrix - want)) < 1e-12
+
+
+def test_evolve_rejects_non_increasing_grid():
+    rates = make_rates(0.2, 0.0)
+    for grid, index in (([0.0, 0.0, 1.0], 1), ([0.0, 2.0, 1.0], 2), ([1.0, 0.0], 1)):
+        with pytest.raises(ValueError) as err:
+            evolve(basis_state("eg"), rates, grid)
+        assert str(err.value) == f"t_grid is not strictly increasing at index {index}"
 
 
 def test_superradiant_and_subradiant_rates():
