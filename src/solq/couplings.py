@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad, simpson
 
-from .bogoliubov import group_velocity, mode_bracket, resonant_wavevector
+from .bogoliubov import group_velocity, group_velocity_at, mode_bracket, resonant_wavevector
 from .boundstates import wannier_pair
 from .model import ModelParams, chi_over_g, qubit_gap, wannier_alpha
 
@@ -140,16 +140,18 @@ _TABLE_LOCK = threading.Lock()
 def _table(alpha, w0, n_y, n_omega):
     """Spectral power over [k0] + the PV k-grid, shared by every separation.
 
-    One entry: callers that change parameters every call (a parameter sweep)
-    would otherwise accumulate ~7 MB tables. The arrays are read-only because
-    every caller receives the same ones.
+    Also holds the on-shell group velocity of the PV grid. One entry: callers
+    that change parameters every call (a parameter sweep) would otherwise
+    accumulate ~7 MB tables. The arrays are read-only because every caller
+    receives the same ones.
     """
     wgrid = principal_value_grid(w0, OMEGA_MAX_FACTOR * w0, n_omega)
     karr = np.concatenate([[resonant_wavevector(w0)], resonant_wavevector(wgrid)])
+    vgw = group_velocity_at(wgrid)
     q, power = _spectral_power(karr, alpha, n_y)
-    for arr in (wgrid, karr, q, power):
+    for arr in (wgrid, karr, vgw, q, power):
         arr.flags.writeable = False
-    return wgrid, karr, q, power
+    return wgrid, karr, vgw, q, power
 
 
 def rate_set(d: float, params: ModelParams, n_y=N_Y, n_omega=N_OMEGA) -> RateSet:
@@ -164,7 +166,7 @@ def rate_set(d: float, params: ModelParams, n_y=N_Y, n_omega=N_OMEGA) -> RateSet
     alpha = wannier_alpha(params)
     d = abs(float(d))
     with _TABLE_LOCK:  # concurrent sweep workers build a missing table once
-        wgrid, karr, q, power = _table(alpha, w0, n_y, n_omega)
+        wgrid, karr, vgw, q, power = _table(alpha, w0, n_y, n_omega)
     k0 = float(karr[0])
     vg0 = float(group_velocity(k0))
 
@@ -175,8 +177,6 @@ def rate_set(d: float, params: ModelParams, n_y=N_Y, n_omega=N_OMEGA) -> RateSet
     c12 = float(power[0] @ cos_qd)
 
     wmax = OMEGA_MAX_FACTOR * w0
-    kw = karr[1:]
-    vgw = 2.0 * kw * (kw * kw + 1.0) / wgrid
     f = power[1:] @ cos_qd / vgw
     f0 = c12 / vg0
     pv = principal_value_integral(f, f0, wgrid, w0, wmax)

@@ -190,7 +190,7 @@ def split_step_evolve(
     real = kind is StepKind.REAL_TIME
     psi, records = _strang(
         psi, grid, n_steps, dt,
-        lambda p: (_kernels.phase_step if real else _kernels.decay_step)(p, pot, 1.0, dt),
+        lambda p: (_kernels.phase_step if real else _kernels.decay_step)(p, pot, dt),
         kind=kind, record_at=record_at, constrain=None if real else renormalize)
     return LatticeField(grid=grid, psi=psi), records
 
@@ -202,7 +202,7 @@ def _relax_fixed_mu(grid, psi, stages, constrain=None):
     for dt, t_stage in stages:
         lift = math.exp(dt)
         psi, _ = _strang(psi, grid, int(round(t_stage / dt)), dt,
-                         lambda p: _kernels.decay_step(p, pot, 1.0, dt) * lift,
+                         lambda p: _kernels.decay_step(p, pot, dt) * lift,
                          kind=StepKind.IMAGINARY_TIME, constrain=constrain)
     return psi
 

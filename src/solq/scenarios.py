@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .boundstates import pt_spectrum
 from .couplings import rate_set, rwa_report, RateSet
-from .dynamics import DriveParams, basis_state, dicke_transform, evolve, steady_state
+from .dynamics import DriveParams, basis_state, dicke_transform, evolve
 from .entanglement import (
     concurrence,
     steady_concurrence_formula,
@@ -50,6 +50,8 @@ class Scenario:
             raise ValueError(
                 f"unknown scenario {self.name!r}; choose from {', '.join(SCENARIO_NAMES)}"
             )
+        if self.points is not None and self.points < 1:
+            raise ValueError(f"points must be >= 1, got {self.points}")
         self.out_dir = Path(self.out_dir)
 
 

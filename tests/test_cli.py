@@ -50,6 +50,17 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_nonpositive_points_exit_2(tmp_path, capsys, points):
+    # 0 must not fall back to the preset's default resolution
+    code = main(["rates", "--points", points, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_bad_scenario_choice_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["steady", "--scenario", "fig2"])
