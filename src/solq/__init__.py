@@ -36,12 +36,10 @@ from .bogoliubov import (
     resonant_wavevector,
 )
 from .couplings import (
-    CouplingSpectrum,
     RateSet,
     RwaReport,
     correlation_panel,
     coupling_amplitude,
-    coupling_spectrum,
     rate_set,
     rwa_report,
 )
@@ -89,8 +87,8 @@ __all__ = [
     "pt_spectrum", "wannier_pair",
     "BogoliubovMode", "dispersion", "group_velocity", "group_velocity_at",
     "mode_amplitudes", "resonant_wavevector",
-    "CouplingSpectrum", "RateSet", "RwaReport", "correlation_panel",
-    "coupling_amplitude", "coupling_spectrum", "rate_set", "rwa_report",
+    "RateSet", "RwaReport", "correlation_panel", "coupling_amplitude",
+    "rate_set", "rwa_report",
     "Basis", "DensityMatrix4", "DriveParams", "SteadyStateResult",
     "Trajectory", "analytic_undriven", "basis_state", "build_liouvillian",
     "dicke_transform", "evolve", "liouvillian_apply", "steady_state",

@@ -59,8 +59,8 @@ def mode_bracket(k, th, ssq):
     bv = [(k^2 - 2 eps)(k/2 + i th) + k ssq]/eps,
 
     so that u_k = e^{iky} bu/sqrt(4 pi) and v_k = e^{-iky} bv/sqrt(4 pi).
-    Plain arithmetic: floats give complex scalars (for quadrature integrands)
-    and broadcastable arrays give complex arrays.
+    Plain arithmetic: floats give complex scalars and broadcastable arrays
+    give complex arrays.
     """
     eps = (k * k * (k * k + 2.0)) ** 0.5
     common = k / 2.0 + 1j * th

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
 
 from .model import ModelParams, wannier_alpha
 
@@ -54,7 +52,7 @@ def pt_spectrum(params: ModelParams) -> PtSpectrum:
 
 def _sech_norm(alpha: float) -> float:
     """A0: normalization of sech^alpha, via log-gammas for stability."""
-    log_s = 0.5 * math.log(math.pi) + gammaln(alpha) - gammaln(alpha + 0.5)
+    log_s = 0.5 * math.log(math.pi) + math.lgamma(alpha) - math.lgamma(alpha + 0.5)
     return math.exp(-0.5 * log_s)
 
 
@@ -91,18 +89,11 @@ def wannier_pair(params: ModelParams, center: float = 0.0) -> WannierPair:
 
 
 def dipole_element(pair: WannierPair) -> float:
-    """Transition dipole <1|x|0> in units of xi (order 1, positive).
+    """Transition dipole <1|x|0> = A1/(2 alpha) in units of xi (order 1, positive).
 
     This is the constant that converts a magnetic-gradient drive amplitude
-    into a Rabi frequency.
+    into a Rabi frequency. Integrating by parts, int y tanh sech^(2 alpha) =
+    (1/(2 alpha)) int sech^(2 alpha) = 1/(2 alpha A0^2), so the A0^2 of the
+    pair cancels.
     """
-
-    def integrand(y):
-        p0 = pair.a0 * math.cosh(y) ** (-pair.alpha)
-        p1 = pair.a1 * math.tanh(y) * p0
-        return p1 * y * p0
-
-    val, err = quad(integrand, -40.0, 40.0, epsabs=1e-13, epsrel=1e-12)
-    if err > 1e-9:
-        raise RuntimeError("dipole quadrature failed to converge")
-    return val
+    return pair.a1 / (2.0 * pair.alpha)

@@ -56,6 +56,16 @@ def parse_config(path: str) -> dict:
     return out
 
 
+def _model_value(key: str, value: str):
+    """One model key's value: wannier_convention is a name, every other key a number."""
+    if key == "wannier_convention":
+        return value
+    try:
+        return float(value)
+    except ValueError:
+        raise ValueError(f"config key {key!r} needs a number, got {value!r}") from None
+
+
 def _split_config(cfg: dict, scenario_name: str) -> tuple[dict, dict]:
     """Partition config entries into model kwargs and scenario settings."""
     allowed = SETTING_KEYS[scenario_name]
@@ -63,10 +73,7 @@ def _split_config(cfg: dict, scenario_name: str) -> tuple[dict, dict]:
     settings = {}
     for key, value in cfg.items():
         if key in MODEL_KEYS:
-            if key == "wannier_convention":
-                model_kwargs[key] = value
-            else:
-                model_kwargs[key] = float(value)
+            model_kwargs[key] = _model_value(key, value)
         elif key in allowed:
             settings[key] = value
         else:
@@ -144,7 +151,7 @@ def _run_validate(args) -> int:
     for key, value in cfg.items():
         if key not in MODEL_KEYS:
             raise ValueError(f"config key {key!r} is not a model parameter")
-        model_kwargs[key] = value if key == "wannier_convention" else float(value)
+        model_kwargs[key] = _model_value(key, value)
     params = ModelParams(**model_kwargs)
     report, ok = validate_report(params, d_check=args.d)
     for key, value in report.items():

@@ -3,10 +3,11 @@
 The impurity qubit couples to the condensate density fluctuation, whose mode-k
 coefficient around a soliton is the combination u_k + v_k dressed by the
 soliton's tanh profile. Transition amplitudes between the impurity orbitals
-follow by quadrature; the collective decay rate Gamma(d) and the coherent
-coupling eta(d) between two soliton sites a distance d apart come from the
-spatial correlation of the coupling density at the resonant mode and from its
-principal-value integral over the reservoir band:
+are trapezoid sums of that density on the rate engine's grid; the collective
+decay rate Gamma(d) and the coherent coupling eta(d) between two soliton sites
+a distance d apart come from the spatial correlation of the coupling density
+at the resonant mode and from its principal-value integral over the reservoir
+band:
 
     D_k(y)       = m(y) [bu(y,k) e^{iky} + bv(y,k) e^{-iky}]
     C12(k; d)    = Re int dy D_k(y) D_k*(y - d)
@@ -30,13 +31,13 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, simpson
+from scipy.integrate import simpson
 
 from .bogoliubov import group_velocity, group_velocity_at, mode_bracket, resonant_wavevector
-from .boundstates import wannier_pair
+from .boundstates import pt_spectrum, wannier_pair
 from .model import ModelParams, chi_over_g, qubit_gap, wannier_alpha
 
-Y_HALF = 40.0          # spatial support half-width for the quadratures, in xi
+Y_HALF = 40.0          # spatial support half-width of the trapezoid sums, in xi
 N_Y = 501              # samples of D_k across [-Y_HALF, Y_HALF]; D_k is analytic
                        # and decays like sech^(2 alpha), so the trapezoid sums
                        # converge exponentially: C12 matches n_y = 20001 to
@@ -45,6 +46,20 @@ N_Y = 501              # samples of D_k across [-Y_HALF, Y_HALF]; D_k is analyti
 N_OMEGA = 1601         # budget for the principal-value frequency grid
 OMEGA_MAX_FACTOR = 50  # reservoir cutoff in units of the qubit gap
 _FFT_CHUNK = 1 << 16   # complex samples per FFT batch (bounds the temporaries)
+
+
+def _coupling_density(k, y, alpha, tanh_power):
+    """tanh^p sech^(2 alpha) (bu e^{iky} + bv e^{-iky}) at the points y.
+
+    The orbital product phi_l phi_m carries tanh^(l + m) sech^(2 alpha) and the
+    reservoir adds one tanh, so p = l + m + 1; D_k is the p = 2 case. k
+    broadcasts against y (a column of k values gives one row per mode).
+    """
+    th = np.tanh(y)
+    sech = 1.0 / np.cosh(y)
+    bu, bv = mode_bracket(k, th, sech * sech)
+    phase = np.exp(1j * k * y)
+    return th ** tanh_power * sech ** (2.0 * alpha) * (bu * phase + bv * phase.conj())
 
 
 def _spectral_power(karr, alpha, n_y=N_Y, y_half=Y_HALF):
@@ -61,19 +76,12 @@ def _spectral_power(karr, alpha, n_y=N_Y, y_half=Y_HALF):
     karr = np.atleast_1d(np.asarray(karr, dtype=float))
     y = np.linspace(-y_half, y_half, n_y)
     dy = y[1] - y[0]
-    th = np.tanh(y)
-    sech = 1.0 / np.cosh(y)
-    m = th * th * sech ** (2.0 * alpha)
-    ssq = sech * sech
     nfft = 1 << (2 * n_y - 1).bit_length()
     half = nfft // 2
     power = np.empty((len(karr), half + 1))
     rows = max(1, _FFT_CHUNK // nfft)
     for a in range(0, len(karr), rows):
-        kk = karr[a:a + rows, None]
-        bu, bv = mode_bracket(kk, th, ssq)
-        phase = np.exp(1j * kk * y)
-        dk = m * (bu * phase + bv * phase.conj())
+        dk = _coupling_density(karr[a:a + rows, None], y, alpha, 2)
         spec = np.fft.fft(dk, n=nfft, axis=1)
         pw = (spec.real ** 2 + spec.imag ** 2) * (dy / nfft)
         power[a:a + rows, 0] = pw[:, 0]
@@ -195,90 +203,28 @@ def rate_set(d: float, params: ModelParams, n_y=N_Y, n_omega=N_OMEGA) -> RateSet
     )
 
 
-# tanh powers carried by the orbital product phi_l phi_m (the reservoir tanh
-# is applied separately in the integrand)
-_BAND_TANH_POWER = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
+def coupling_amplitude(l, m, k, params: ModelParams):
+    """Same-site transition amplitude g_lm(k) between impurity orbitals l and m.
 
-
-def coupling_amplitude(l, m, i, j, k, d, params: ModelParams):
-    """Transition amplitude g_{lm}^{(ij)}(k): orbitals at site j, mode at site i.
-
-    Sites sit at -d/2 (site 1) and +d/2 (site 2). Adaptive quadrature over
-    [-Y_HALF, Y_HALF] widened by the site offsets, absolute tolerance 1e-12.
-    Same-site amplitudes (i == j) drive the rates; cross-site ones are
-    diagnostic only.
+    The trapezoid sum of phi_l phi_m tanh (bu e^{iky} + bv e^{-iky}) on the
+    N_Y points of [-Y_HALF, Y_HALF] that also sample D_k: the integrand is
+    analytic and decays like sech^(2 alpha), so the sum converges exponentially.
     """
     if l not in (0, 1) or m not in (0, 1):
         raise ValueError("band indices l, m must be 0 or 1")
-    if i not in (1, 2) or j not in (1, 2):
-        raise ValueError("site indices i, j must be 1 or 2")
     k = float(k)
-    if k <= 0.0:
-        raise ValueError("coupling_amplitude needs k > 0")
-    d = float(d)
-    x_i = -0.5 * d if i == 1 else 0.5 * d
-    x_j = -0.5 * d if j == 1 else 0.5 * d
-    alpha = wannier_alpha(params)
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"coupling_amplitude needs a finite k > 0, got {k}")
     pair = wannier_pair(params)
-    orb_norm = {
-        (0, 0): pair.a0 ** 2,
-        (0, 1): pair.a0 ** 2 * pair.a1,
-        (1, 0): pair.a0 ** 2 * pair.a1,
-        (1, 1): pair.a0 ** 2 * pair.a1 ** 2,
-    }[(l, m)]
-    tanh_pow = _BAND_TANH_POWER[(l, m)]
     pref = (
         chi_over_g(params)
         / math.sqrt(params.n0_xi)
-        * orb_norm
+        * pair.a0 ** 2 * pair.a1 ** (l + m)
         * math.sqrt(1.0 / (4.0 * math.pi))
     )
-
-    def integrand(x):
-        yj = x - x_j
-        yi = x - x_i
-        thj = math.tanh(yj)
-        sj = 1.0 / math.cosh(yj)
-        thi = math.tanh(yi)
-        si = 1.0 / math.cosh(yi)
-        orb = thj ** tanh_pow * sj ** (2.0 * alpha)
-        bu, bv = mode_bracket(k, thi, si * si)
-        phase = complex(math.cos(k * yi), math.sin(k * yi))
-        return orb * thi * (bu * phase + bv * phase.conjugate())
-
-    half = Y_HALF + max(abs(x_i), abs(x_j))
-    val, err = quad(integrand, -half, half, epsabs=1e-12, epsrel=1e-10,
-                    complex_func=True, limit=400)
-    if abs(err) > 1e-8:
-        raise RuntimeError(f"coupling quadrature did not converge (err = {err:.2e})")
-    return pref * val
-
-
-@dataclass(frozen=True)
-class CouplingSpectrum:
-    """Amplitudes g_{lm}^{(ij)}(k) tabulated on a k grid at separation d."""
-
-    k_grid: np.ndarray
-    d: float
-    g: np.ndarray  # shape (2, 2, 2, 2, nk): [l, m, i-1, j-1, ik]
-
-    def amplitude(self, l, m, i, j):
-        return self.g[l, m, i - 1, j - 1]
-
-
-def coupling_spectrum(k_grid, d, params: ModelParams) -> CouplingSpectrum:
-    """Tabulate all band/site amplitude combinations on k_grid."""
-    k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
-    g = np.empty((2, 2, 2, 2, len(k_grid)), dtype=complex)
-    for l in (0, 1):
-        for m in (0, 1):
-            for i in (1, 2):
-                for j in (1, 2):
-                    for ik, k in enumerate(k_grid):
-                        g[l, m, i - 1, j - 1, ik] = coupling_amplitude(
-                            l, m, i, j, k, d, params
-                        )
-    return CouplingSpectrum(k_grid=k_grid, d=d, g=g)
+    y = np.linspace(-Y_HALF, Y_HALF, N_Y)
+    density = _coupling_density(k, y, pair.alpha, l + m + 1)
+    return pref * complex(np.trapezoid(density, y))
 
 
 @dataclass(frozen=True)
@@ -302,8 +248,6 @@ def rwa_report(params: ModelParams) -> RwaReport:
     intraband ones, and gamma should sit far below the qubit gap. A coupling
     of zero (nu = 0) yields NaN fields and valid = False.
     """
-    from .boundstates import pt_spectrum  # local import avoids cycle at load
-
     window = pt_spectrum(params).qubit_window
     w0 = qubit_gap(params)
     if params.nu == 0.0 or w0 <= 0.0:
@@ -313,9 +257,9 @@ def rwa_report(params: ModelParams) -> RwaReport:
             gamma=nan, gamma_over_omega0=nan, qubit_window=window, valid=False,
         )
     k0 = float(resonant_wavevector(w0))
-    g00 = abs(coupling_amplitude(0, 0, 1, 1, k0, 0.0, params))
-    g01 = abs(coupling_amplitude(0, 1, 1, 1, k0, 0.0, params))
-    g11 = abs(coupling_amplitude(1, 1, 1, 1, k0, 0.0, params))
+    g00 = abs(coupling_amplitude(0, 0, k0, params))
+    g01 = abs(coupling_amplitude(0, 1, k0, params))
+    g11 = abs(coupling_amplitude(1, 1, k0, params))
     gamma = rate_set(0.0, params).gamma
     return RwaReport(
         k0=k0,

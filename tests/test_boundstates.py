@@ -106,12 +106,18 @@ def test_dipole_element_default():
 
 
 def test_dipole_element_closed_form():
-    # <1|x|0> = sqrt(1 + 2 alpha) / (2 alpha) for the sech^alpha pair
-    for a in (0.5, 0.8, 1.0, 1.3, 1.7, 2.0):
+    # the closed form A1/(2 alpha) against adaptive quadrature of phi1 y phi0
+    for a in np.geomspace(0.5, 20.0, 12):
         pair = wannier_pair(
-            ModelParams(nu=a, wannier_convention=ExponentConvention.EIGENSTATE)
+            ModelParams(nu=float(a), wannier_convention=ExponentConvention.EIGENSTATE)
         )
-        assert abs(dipole_element(pair) - math.sqrt(1.0 + 2.0 * a) / (2.0 * a)) < 1e-10
+        val, err = quad(
+            lambda y: pair.a0 ** 2 * pair.a1 * math.tanh(y) * y
+            * math.cosh(y) ** (-2.0 * pair.alpha),
+            -40.0, 40.0, epsabs=1e-15, epsrel=1e-12, limit=200,
+        )
+        assert err < 1e-12
+        assert abs(dipole_element(pair) - val) < 1e-12
 
 
 def test_dipole_element_hypergeometric_oracle():

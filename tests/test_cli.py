@@ -50,6 +50,27 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize(
+    ("argv", "text", "needle"),
+    [
+        (["validate"], "d=2.0\n", "'d' is not a model parameter"),
+        (["validate"], "nu=abc\n", "'nu' needs a number"),
+        (["rates"], "nu=abc\n", "'nu' needs a number"),
+    ],
+)
+def test_bad_config_value_exits_2(tmp_path, monkeypatch, capsys, argv, text, needle):
+    monkeypatch.chdir(tmp_path)  # a dataset command would write here
+    (tmp_path / "run.cfg").write_text(text)
+    code = main(argv + ["--config", "run.cfg"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+    assert needle in captured.err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_nonpositive_points_exit_2(tmp_path, capsys, points):
     # 0 must not fall back to the preset's default resolution

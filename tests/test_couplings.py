@@ -5,19 +5,19 @@ import pytest
 from scipy.integrate import quad
 
 from solq.bogoliubov import group_velocity, resonant_wavevector
+from solq.boundstates import wannier_pair
 from solq.couplings import (
     N_OMEGA,
     OMEGA_MAX_FACTOR,
     _table,
     correlation_panel,
     coupling_amplitude,
-    coupling_spectrum,
     principal_value_grid,
     principal_value_integral,
     rate_set,
     rwa_report,
 )
-from solq.model import ModelParams, qubit_gap, wannier_alpha
+from solq.model import ModelParams, chi_over_g, qubit_gap, wannier_alpha
 
 P = ModelParams()
 ALPHA = wannier_alpha(P)
@@ -204,34 +204,60 @@ def test_spatial_panel_is_converged():
 
 def test_coupling_amplitude_validation():
     with pytest.raises(ValueError):
-        coupling_amplitude(2, 0, 1, 1, K0, 0.0, P)
-    with pytest.raises(ValueError):
-        coupling_amplitude(0, 1, 3, 1, K0, 0.0, P)
-    with pytest.raises(ValueError):
-        coupling_amplitude(0, 1, 1, 1, -0.2, 0.0, P)
+        coupling_amplitude(2, 0, K0, P)
+    for k in (-0.2, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            coupling_amplitude(0, 1, k, P)
 
 
 def test_interband_amplitude_parity():
     # phi0 phi1 is odd about the site, so g_01 is finite while the even-parity
     # pieces of the integrand cancel; swapping l, m changes nothing
-    g_a = coupling_amplitude(0, 1, 1, 1, K0, 0.0, P)
-    g_b = coupling_amplitude(1, 0, 1, 1, K0, 0.0, P)
+    g_a = coupling_amplitude(0, 1, K0, P)
+    g_b = coupling_amplitude(1, 0, K0, P)
     assert abs(g_a - g_b) < 1e-12
 
 
-def test_same_site_amplitudes_independent_of_site():
-    for lm in ((0, 0), (0, 1), (1, 1)):
-        g1 = coupling_amplitude(lm[0], lm[1], 1, 1, K0, 3.0, P)
-        g2 = coupling_amplitude(lm[0], lm[1], 2, 2, K0, 3.0, P)
-        assert abs(abs(g1) - abs(g2)) < 1e-10
+def quad_amplitude(l, m, k, params):
+    """g_lm(k) by adaptive quadrature of phi_l phi_m tanh (bu e^{iky} + bv e^{-iky}).
+
+    The orbitals and the bracket are written out here, as in
+    `direct_correlation`, so the comparison also checks `mode_bracket`.
+    """
+    pair = wannier_pair(params)
+    eps = math.sqrt(k * k * (k * k + 2.0))
+
+    def integrand(y):
+        th = math.tanh(y)
+        sech = 1.0 / math.cosh(y)
+        phi0 = pair.a0 * sech ** pair.alpha
+        orbital = (phi0, pair.a1 * th * phi0)
+        common = complex(k / 2.0, th)
+        bu = (k * k + 2.0 * eps) / eps * common + (k / eps) * sech ** 2
+        bv = (k * k - 2.0 * eps) / eps * common + (k / eps) * sech ** 2
+        phase = complex(math.cos(k * y), math.sin(k * y))
+        return orbital[l] * orbital[m] * th * (bu * phase + bv * phase.conjugate())
+
+    # quad's error estimate runs ~100x above its actual error here (the two
+    # rules agree to 5e-14), so it is only checked at 1e-11
+    val, err = quad(integrand, -40.0, 40.0, epsabs=1e-13, epsrel=0.0,
+                    limit=400, complex_func=True)
+    assert abs(err) < 1e-11 * abs(val)
+    return chi_over_g(params) / math.sqrt(4.0 * math.pi * params.n0_xi) * val
 
 
-def test_coupling_spectrum_layout():
-    ks = np.array([K0, 0.5])
-    table = coupling_spectrum(ks, 1.0, P)
-    assert table.g.shape == (2, 2, 2, 2, 2)
-    direct = coupling_amplitude(0, 1, 1, 1, 0.5, 1.0, P)
-    assert abs(table.amplitude(0, 1, 1, 1)[1] - direct) < 1e-14
+def test_amplitudes_match_adaptive_quadrature():
+    # the trapezoid sum on the rate engine's grid against scipy's adaptive
+    # quadrature, from the smallest PV k through the resonance to the cutoff
+    for params in (P, ModelParams(nu=0.6, mass_ratio=1.3)):
+        w0 = qubit_gap(params)
+        k0 = float(resonant_wavevector(w0))
+        k_max = float(resonant_wavevector(OMEGA_MAX_FACTOR * w0))
+        for k in (0.05, k0, 1.0, k_max):
+            for l, m in ((0, 0), (0, 1), (1, 1)):
+                want = quad_amplitude(l, m, k, params)
+                got = coupling_amplitude(l, m, k, params)
+                assert abs(got - want) < 1e-12 * abs(want), (params, k, l, m)
 
 
 def test_rwa_report_hierarchy():
