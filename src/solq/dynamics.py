@@ -18,17 +18,23 @@ vec(A rho B) = (A kron B^T) vec(rho). The equation is linear, so `evolve` is
 exact: one matrix exponential exp(L h) per distinct time step h, then one
 mat-vec per snapshot. No Runge-Kutta integrator, no tolerances to tune.
 
+Every DensityMatrix4 carries its Wootters concurrence (PRL 80, 2245 (1998)),
+computed in the batch that validates it: one `eigh` of the hermitized stack
+gives the spectrum the checks need and the eigenvectors of sqrt(rho), and the
+singular values s1 >= ... >= s4 of sqrt(rho) (sy kron sy) sqrt(rho)^* are the
+square roots of the spin-flip eigenvalues, so C = max(0, s1 - s2 - s3 - s4)
+takes no square root of eigenvalue noise.
+
 Basis conventions. Product (computational) order: ee, eg, ge, gg. Dicke order:
 e, s, a, g with |s>, |a> = (|e1 g2> +- |g1 e2>)/sqrt(2). The transform between
 them is real, symmetric, and involutory.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import exprel
 
 from .couplings import RateSet
 
@@ -50,11 +56,24 @@ _U_DICKE = np.eye(4)
 _U_DICKE[1:3, 1:3] = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
-def _validate_stack(m: np.ndarray) -> None:
-    """Check an (n, 4, 4) stack; the first bad matrix raises its own message."""
+# sy kron sy (real) in the product basis; in the Dicke basis it is U (sy kron sy) U
+_SY = np.array([[0.0, -1j], [1j, 0.0]])
+_SY_SY = np.kron(_SY, _SY).real
+_SPIN_FLIP = {Basis.COMPUTATIONAL: _SY_SY, Basis.DICKE: _U_DICKE @ _SY_SY @ _U_DICKE}
+
+
+def _validate_stack(m: np.ndarray, basis: Basis) -> np.ndarray:
+    """Check an (n, 4, 4) stack and return each matrix's concurrence.
+
+    The first bad matrix raises its own message. With rho = V diag(w) V^H,
+    sqrt(rho) Y sqrt(rho)^* = V D (V^H Y V^*) D V^T for D = diag(sqrt(w)) and
+    Y = sy kron sy in the stack's basis, so its singular values are those of
+    D (V^H Y V^*) D: one batched `svd` of 4x4 matrices.
+    """
     herm = np.max(np.abs(m - m.conj().swapaxes(1, 2)), axis=(1, 2))
     tr = np.trace(m, axis1=1, axis2=2).real
-    low = np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(1, 2)))[:, 0]
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().swapaxes(1, 2)))
+    low = w[:, 0]
     bad = np.flatnonzero((herm > HERM_TOL) | (np.abs(tr - 1.0) > TRACE_TOL)
                          | (low < EIG_FLOOR))
     if bad.size:
@@ -64,31 +83,45 @@ def _validate_stack(m: np.ndarray) -> None:
         if abs(tr[i] - 1.0) > TRACE_TOL:
             raise ValueError(f"trace is {tr[i]!r}, not 1")
         raise ValueError(f"negative eigenvalue {low[i]:.2e}")
+    root = np.sqrt(np.maximum(w, 0.0))
+    flip = v.conj().swapaxes(1, 2) @ (_SPIN_FLIP[basis] @ v.conj())
+    s = np.linalg.svd(root[:, :, None] * flip * root[:, None, :], compute_uv=False)
+    return np.maximum(s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3], 0.0)
 
 
 @dataclass(frozen=True)
 class DensityMatrix4:
-    """A validated 4x4 density matrix tagged with its basis."""
+    """A validated 4x4 density matrix tagged with its basis.
+
+    `concurrence` is the state's Wootters concurrence, set at validation.
+    """
 
     matrix: np.ndarray
     basis: Basis = Basis.COMPUTATIONAL
+    concurrence: float = field(init=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
-        _validate_stack(m[None])
+        conc = _validate_stack(m[None], self.basis)
+        object.__setattr__(self, "concurrence", float(conc[0]))
+
+    @classmethod
+    def _known(cls, m: np.ndarray, basis: Basis, concurrence: float):
+        """A state whose matrix is already validated and concurrence known."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "matrix", m)
+        object.__setattr__(state, "basis", basis)
+        object.__setattr__(state, "concurrence", concurrence)
+        return state
 
     @classmethod
     def _stack(cls, mats: np.ndarray, basis: Basis) -> tuple:
         """One state per matrix of an (n, 4, 4) stack, validated as a batch."""
-        _validate_stack(mats)
-        states = tuple(object.__new__(cls) for _ in mats)
-        for state, m in zip(states, mats):
-            object.__setattr__(state, "matrix", m)
-            object.__setattr__(state, "basis", basis)
-        return states
+        conc = _validate_stack(mats, basis).tolist()
+        return tuple(cls._known(m, basis, c) for m, c in zip(mats, conc))
 
     def element(self, row_label: str, col_label: str) -> complex:
         labels = PRODUCT_LABELS if self.basis is Basis.COMPUTATIONAL else DICKE_LABELS
@@ -110,10 +143,14 @@ def basis_state(label: str) -> DensityMatrix4:
 
 
 def dicke_transform(state: DensityMatrix4) -> DensityMatrix4:
-    """Flip a state between the product and Dicke bases (involutory)."""
+    """Flip a state between the product and Dicke bases (involutory).
+
+    The same state in another basis: it keeps its concurrence and is not
+    decomposed again.
+    """
     rho = _U_DICKE @ state.matrix @ _U_DICKE
     other = Basis.DICKE if state.basis is Basis.COMPUTATIONAL else Basis.COMPUTATIONAL
-    return DensityMatrix4(matrix=rho, basis=other)
+    return DensityMatrix4._known(rho, other, state.concurrence)
 
 
 def _as_product_matrix(state: DensityMatrix4) -> np.ndarray:
@@ -253,14 +290,22 @@ def evolve(
     return Trajectory(times=t_grid, states=DensityMatrix4._stack(rho, state0.basis))
 
 
+def _exprel(x: np.ndarray) -> np.ndarray:
+    """(exp(x) - 1)/x elementwise, with its limit 1 at x = 0."""
+    x = np.asarray(x, dtype=float)
+    zero = x == 0.0
+    safe = np.where(zero, 1.0, x)
+    return np.where(zero, 1.0, np.expm1(safe) / safe)
+
+
 def analytic_undriven(init: dict, rates: RateSet, times) -> Trajectory:
     """Closed-form decay of the Dicke populations and the s-a coherence.
 
     init supplies rho_ee, rho_ss, rho_aa (real) and rho_sa (complex); the
     ground population is fixed by the trace. Valid for states with no other
     nonzero elements and no drive. The superradiant channel feeds |s> at rate
-    gamma + Gamma and |a> at gamma - Gamma; the degenerate point Gamma = gamma
-    is handled by a series limit.
+    gamma + Gamma and |a> at gamma - Gamma; the degenerate points
+    Gamma = +-gamma take the x -> 0 limit of (e^x - 1)/x.
     """
     _check_rates(rates)
     allowed = {"rho_ee", "rho_ss", "rho_aa", "rho_sa"}
@@ -282,8 +327,8 @@ def analytic_undriven(init: dict, rates: RateSet, times) -> Trajectory:
     dn = 1.0 - big   # subradiant rate
 
     ee = ee0 * np.exp(-2.0 * times)
-    feed_ss = up * times * exprel(dn * times) * np.exp(-2.0 * times) * ee0
-    feed_aa = dn * times * exprel(up * times) * np.exp(-2.0 * times) * ee0
+    feed_ss = up * times * _exprel(dn * times) * np.exp(-2.0 * times) * ee0
+    feed_aa = dn * times * _exprel(up * times) * np.exp(-2.0 * times) * ee0
     ss = ss0 * np.exp(-up * times) + feed_ss
     aa = aa0 * np.exp(-dn * times) + feed_aa
     sa = sa0 * np.exp(-(1.0 + 2.0j * eta) * times)

@@ -1,12 +1,16 @@
 """Concurrence of the two-qubit state, general and closed-form routes.
 
-The general route is the spin-flip construction: eigenvalues of
-rho (sy ⊗ sy) rho* (sy ⊗ sy) in the product basis, concurrence
-max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)). States whose product-basis
-matrix is X-shaped (diagonal plus antidiagonal) admit two closed-form
-branches, one per antidiagonal pair; the decaying and driven steady states of
-this model have their own analytic formulas, kept as separate functions so the
-routes can be checked against each other rather than collapsed.
+The general route is Wootters' spin-flip construction, computed once per
+state where `dynamics` validates it (a trajectory's states as one batch): the
+singular values s1 >= ... >= s4 of sqrt(rho) (sy ⊗ sy) sqrt(rho)^* are the
+square roots of the eigenvalues of rho (sy ⊗ sy) rho* (sy ⊗ sy), and
+C = max(0, s1 - s2 - s3 - s4). No square root of eigenvalue noise is taken,
+so pure one-excitation states meet their closed form to roundoff. States
+whose product-basis matrix is X-shaped (diagonal plus antidiagonal) admit two
+closed-form branches, one per antidiagonal pair; the decaying and driven
+steady states of this model have their own analytic formulas, kept as
+separate functions so the routes can be checked against each other rather
+than collapsed.
 """
 
 import math
@@ -33,11 +37,6 @@ class ConcurrenceResult:
     branch: ConcurrenceBranch
 
 
-_SY_SY = np.kron(
-    np.array([[0.0, -1j], [1j, 0.0]]), np.array([[0.0, -1j], [1j, 0.0]])
-)
-
-
 def _coerce(state) -> DensityMatrix4:
     if isinstance(state, DensityMatrix4):
         return state
@@ -48,20 +47,10 @@ def concurrence(state) -> ConcurrenceResult:
     """Spin-flip concurrence of a density matrix (any basis tag).
 
     Accepts a DensityMatrix4 or a raw 4x4 array (validated, assumed product
-    basis). The product rho rho~ has real nonnegative spectrum up to float
-    noise; residual imaginary parts above 1e-9 abort.
+    basis). The value is the one computed when the state was validated.
     """
-    dm = _coerce(state)
-    rho = _as_product_matrix(dm)
-    flipped = _SY_SY @ rho.conj() @ _SY_SY
-    lam = np.linalg.eigvals(rho @ flipped)
-    if np.max(np.abs(lam.imag)) > 1e-9:
-        raise RuntimeError("spin-flip spectrum came out non-real")
-    lam = np.sort(lam.real)[::-1]
-    lam = np.sqrt(np.maximum(lam, 0.0))
     return ConcurrenceResult(
-        value=max(0.0, lam[0] - lam[1] - lam[2] - lam[3]),
-        branch=ConcurrenceBranch.GENERAL,
+        value=_coerce(state).concurrence, branch=ConcurrenceBranch.GENERAL
     )
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import exprel
 
 from solq import dynamics
 from solq.couplings import RateSet
@@ -17,6 +18,7 @@ from solq.dynamics import (
     steady_state,
     steady_state_closed_form,
 )
+from solq.entanglement import concurrence
 
 GAMMA = 4.922723591011477e-05
 
@@ -124,19 +126,40 @@ def test_density_matrix_validation():
         DensityMatrix4(np.eye(3, dtype=complex) / 3.0)
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a stored concurrence was recomputed")
+
+
 def test_trajectories_are_validated_as_one_batch(monkeypatch):
     shapes = []
+    svds = []
     check = dynamics._validate_stack
+    svd = np.linalg.svd
 
-    def spy(m):
+    def spy(m, basis):
         shapes.append(m.shape)
-        check(m)
+        return check(m, basis)
+
+    def counting_svd(a, *args, **kwargs):
+        svds.append(a.shape)
+        return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_validate_stack", spy)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     times = np.linspace(0.0, 1.0, 7)
-    evolve(basis_state("eg"), make_rates(0.3, 0.1), times)
-    analytic_undriven({"rho_ee": 1.0}, make_rates(0.3, 0.1), times)
+    traj = evolve(basis_state("eg"), make_rates(0.3, 0.1), times)
+    undriven = analytic_undriven({"rho_ee": 1.0}, make_rates(0.3, 0.1), times)
     assert shapes == [(1, 4, 4), (7, 4, 4), (7, 4, 4)]
+    # one concurrence svd per validated batch: per state, evolve, analytic_undriven
+    assert svds == shapes
+    # every snapshot carries its concurrence; reading it decomposes nothing
+    for name in ("eigvals", "eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, _refuse)
+    for st in traj.states + undriven.states:
+        c = concurrence(st).value
+        assert c == st.concurrence and 0.0 <= c <= 1.0
+        assert dicke_transform(st).concurrence == c
+    monkeypatch.undo()
     # a coherence outside the positivity cone fails on the first snapshot
     init = {"rho_ss": 0.2, "rho_aa": 0.2, "rho_sa": 0.5}
     with pytest.raises(ValueError) as alone:
@@ -144,6 +167,13 @@ def test_trajectories_are_validated_as_one_batch(monkeypatch):
     with pytest.raises(ValueError) as batched:
         analytic_undriven(init, make_rates(0.3, 0.1), times)
     assert str(batched.value) == str(alone.value)
+
+
+def test_exprel_matches_scipy():
+    x = np.concatenate([[0.0, 1e-12, -1e-12, 1e-6, -1e-6], np.linspace(-8.0, 8.0, 4001)])
+    ours = dynamics._exprel(x)
+    assert ours[0] == 1.0
+    assert np.max(np.abs(ours / exprel(x) - 1.0)) < 1e-14
 
 
 def test_basis_state_labels():

@@ -35,6 +35,93 @@ def bell_phi_plus():
     return np.outer(v, v.conj())
 
 
+SY = np.array([[0.0, -1j], [1j, 0.0]])
+SY_SY = np.kron(SY, SY)
+# product order ee, eg, ge, gg to Dicke order e, s, a, g; its own inverse
+U_DICKE = np.eye(4)
+U_DICKE[1:3, 1:3] = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+
+
+def wootters_eigvals(rho):
+    """Oracle: square roots of the sorted eigenvalues of rho (sy sy) rho* (sy sy).
+
+    Roots of eigenvalue noise put its floor near 1e-9 on full-rank states and
+    near 3e-8 where the spin-flip product has zero eigenvalues.
+    """
+    lam = np.linalg.eigvals(rho @ SY_SY @ rho.conj() @ SY_SY)
+    if np.max(np.abs(lam.imag)) > 1e-9:
+        raise RuntimeError("spin-flip spectrum came out non-real")
+    lam = np.sqrt(np.maximum(np.sort(lam.real)[::-1], 0.0))
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def wootters_of_factor(a):
+    """Oracle for rho = a a^H of rank r = a.shape[1] < 4 (trace 1).
+
+    The nonzero eigenvalues of rho rho~ are those of t^* t with the r x r
+    t = a^T (sy sy) a, and the other 4 - r are exactly zero.
+    """
+    t = a.T @ SY_SY @ a
+    lam = np.linalg.eigvals(t.conj() @ t)
+    assert np.max(np.abs(lam.imag)) < 1e-12
+    lam = np.sqrt(np.maximum(np.sort(lam.real)[::-1], 0.0))
+    return max(0.0, lam[0] - np.sum(lam[1:]))
+
+
+def random_states(rng, count):
+    """Seeded (rho, factor) pairs: full-rank, rank-1, rank-2, X-shaped and
+    Werner states, with the trace-1 factor a (rho = a a^H) of the rank-1 and
+    rank-2 ones and None for the rest."""
+    for _ in range(count):
+        for rank in (4, 1, 2):
+            a = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            a /= np.linalg.norm(a)
+            yield a @ a.conj().T, (a if rank < 4 else None)
+        w = rng.dirichlet(np.ones(4))
+        x = np.diag(w).astype(complex)
+        for i, j in ((0, 3), (1, 2)):
+            phase = np.exp(2j * np.pi * rng.uniform())
+            x[i, j] = rng.uniform() * math.sqrt(w[i] * w[j]) * phase
+            x[j, i] = np.conj(x[i, j])
+        yield x, None
+        p = rng.uniform()
+        yield p * bell_phi_plus() + (1.0 - p) * np.eye(4) / 4.0, None
+
+
+def test_concurrence_matches_eigvals_oracle():
+    rng = np.random.default_rng(53)
+    for rho, factor in random_states(rng, 40):
+        got = concurrence(rho).value
+        # the same state tagged in the Dicke basis
+        dicke = DensityMatrix4(U_DICKE @ rho @ U_DICKE, basis=Basis.DICKE)
+        assert abs(concurrence(dicke).value - got) < 1e-14
+        if factor is None:
+            assert abs(got - wootters_eigvals(rho)) < 1e-9
+        else:
+            assert abs(got - wootters_of_factor(factor)) < 1e-9
+            assert abs(got - wootters_eigvals(rho)) < 1e-7
+
+
+def test_exact_fixtures():
+    bells = []
+    for i, j, sign in ((0, 3, 1.0), (0, 3, -1.0), (1, 2, 1.0), (1, 2, -1.0)):
+        v = np.zeros(4, dtype=complex)
+        v[i], v[j] = 1.0 / math.sqrt(2.0), sign / math.sqrt(2.0)
+        bells.append(np.outer(v, v.conj()))
+    for rho in bells:
+        assert abs(concurrence(rho).value - 1.0) < 1e-14
+    for label in ("s", "a"):
+        assert abs(concurrence(basis_state(label)).value - 1.0) < 1e-14
+    for label in ("ee", "eg", "ge", "gg", "e", "g"):
+        assert concurrence(basis_state(label)).value < 1e-14
+    rng = np.random.default_rng(59)
+    for _ in range(20):
+        a = rng.normal(size=2) + 1j * rng.normal(size=2)
+        b = rng.normal(size=2) + 1j * rng.normal(size=2)
+        v = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+        assert concurrence(np.outer(v, v.conj())).value < 1e-14
+
+
 def test_bell_state_is_maximally_entangled():
     res = concurrence(bell_phi_plus())
     assert abs(res.value - 1.0) < 1e-14
@@ -106,7 +193,7 @@ def test_decay_formula_matches_wootters_of_evolution():
         traj = evolve(basis_state("eg"), rates, times)
         wootters = np.array([concurrence(st).value for st in traj.states])
         formula = undriven_concurrence_formula(rates, times)
-        assert np.max(np.abs(wootters - formula)) < 1e-8
+        assert np.max(np.abs(wootters - formula)) < 1e-12
 
 
 def test_decay_formula_envelope():
