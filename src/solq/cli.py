@@ -16,20 +16,11 @@ import sys
 from pathlib import Path
 
 from .model import ModelParams
-from .scenarios import Scenario, format_value, run_scenario, validate_report
+from .scenarios import (
+    PRESETS, Scenario, format_value, parse_value, run_scenario, validate_report,
+)
 
 MODEL_KEYS = ("nu", "mass_ratio", "n0_xi", "wannier_convention")
-
-SETTING_KEYS = {
-    "fig2": (),
-    "fig3a": ("t_final",),
-    "fig3b": ("t_final", "d"),
-    "fig4": ("t_final", "d", "omega_1", "omega_2", "initial_state"),
-    "fig5a": ("omega", "d_min", "d_max"),
-    "fig5b": ("d", "omega_max"),
-    "figS1": ("box_length",),
-    "figS3": ("count", "spacing", "box_length", "t_final"),
-}
 
 COMMAND_SCENARIOS = {
     "rates": ("fig2",),
@@ -58,28 +49,13 @@ def parse_config(path: str) -> dict:
 
 def _model_value(key: str, value: str):
     """One model key's value: wannier_convention is a name, every other key a number."""
-    if key == "wannier_convention":
-        return value
-    try:
-        return float(value)
-    except ValueError:
-        raise ValueError(f"config key {key!r} needs a number, got {value!r}") from None
+    return parse_value(key, value, str if key == "wannier_convention" else float)
 
 
-def _split_config(cfg: dict, scenario_name: str) -> tuple[dict, dict]:
+def _split_config(cfg: dict) -> tuple[dict, dict]:
     """Partition config entries into model kwargs and scenario settings."""
-    allowed = SETTING_KEYS[scenario_name]
-    model_kwargs = {}
-    settings = {}
-    for key, value in cfg.items():
-        if key in MODEL_KEYS:
-            model_kwargs[key] = _model_value(key, value)
-        elif key in allowed:
-            settings[key] = value
-        else:
-            raise ValueError(
-                f"config key {key!r} is not used by scenario {scenario_name}"
-            )
+    model_kwargs = {k: _model_value(k, v) for k, v in cfg.items() if k in MODEL_KEYS}
+    settings = {k: v for k, v in cfg.items() if k not in MODEL_KEYS}
     return model_kwargs, settings
 
 
@@ -118,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, scenarios in COMMAND_SCENARIOS.items():
         sub = subparsers.add_parser(command, help=descriptions[command])
         _add_common(sub, scenarios)
-        settable = sorted({k for s in scenarios for k in SETTING_KEYS[s]})
+        settable = sorted({k for s in scenarios for k in PRESETS[s].settings})
         if settable:
             sub.epilog = "config keys: " + ", ".join(MODEL_KEYS + tuple(settable))
     val = subparsers.add_parser("validate", help="parameter regime report")
@@ -129,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_dataset(args) -> int:
     cfg = parse_config(args.config) if args.config else {}
-    model_kwargs, settings = _split_config(cfg, args.scenario)
+    model_kwargs, settings = _split_config(cfg)
     params = ModelParams(**model_kwargs)
     scenario = Scenario(
         name=args.scenario,
@@ -147,11 +123,9 @@ def _run_dataset(args) -> int:
 
 def _run_validate(args) -> int:
     cfg = parse_config(args.config) if args.config else {}
-    model_kwargs = {}
-    for key, value in cfg.items():
-        if key not in MODEL_KEYS:
-            raise ValueError(f"config key {key!r} is not a model parameter")
-        model_kwargs[key] = _model_value(key, value)
+    model_kwargs, others = _split_config(cfg)
+    if others:
+        raise ValueError(f"config key {next(iter(others))!r} is not a model parameter")
     params = ModelParams(**model_kwargs)
     report, ok = validate_report(params, d_check=args.d)
     for key, value in report.items():

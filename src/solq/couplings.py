@@ -31,7 +31,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .bogoliubov import group_velocity, group_velocity_at, mode_bracket, resonant_wavevector
 from .boundstates import pt_spectrum, wannier_pair
@@ -110,6 +109,33 @@ def principal_value_grid(w0, wmax, n_omega=N_OMEGA):
     return np.concatenate([wa, wb, wc])
 
 
+def simpson(y, x):
+    """Composite Simpson's rule for samples y on an increasing, irregular grid x.
+
+    Simpson's three-point rule over consecutive pairs of intervals; with an
+    even point count the last interval takes Cartwright's three-point
+    correction. This is scipy.integrate.simpson's rule, term for term, for
+    at least three points.
+    """
+    h = np.diff(x)
+    n = len(y) - 2 + len(y) % 2  # intervals covered by the pairs
+    h0, h1 = h[0:n:2], h[1:n:2]
+    hsum, hprod, ratio = h0 + h1, h0 * h1, h0 / h1
+    total = np.sum(hsum / 6.0 * (
+        y[0:n - 1:2] * (2.0 - 1.0 / ratio)
+        + y[1:n:2] * (hsum * (hsum / hprod))
+        + y[2:n + 1:2] * (2.0 - ratio)
+    ))
+    if len(y) % 2 == 0:
+        a, b = h[-2], h[-1]
+        total += (
+            (2 * b ** 2 + 3 * a * b) / (6 * (b + a)) * y[-1]
+            + (b ** 2 + 3.0 * a * b) / (6 * a) * y[-2]
+            - b ** 3 / (6 * a * (a + b)) * y[-3]
+        )
+    return total
+
+
 def principal_value_integral(f, f0, wgrid, w0, wmax):
     """PV int_0^wmax f(w)/(w - w0) dw by singularity subtraction.
 
@@ -173,6 +199,8 @@ def rate_set(d: float, params: ModelParams, n_y=N_Y, n_omega=N_OMEGA) -> RateSet
         raise ValueError(f"no qubit splitting at nu = {params.nu}; need nu > 1/2")
     alpha = wannier_alpha(params)
     d = abs(float(d))
+    if not d < math.inf:
+        raise ValueError(f"separation d must be finite, got {d}")
     with _TABLE_LOCK:  # concurrent sweep workers build a missing table once
         wgrid, karr, vgw, q, power = _table(alpha, w0, n_y, n_omega)
     k0 = float(karr[0])

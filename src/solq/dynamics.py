@@ -171,6 +171,12 @@ class DriveParams:
     detuning: float = 0.0
     omega_rabi_2: float | None = None
 
+    def __post_init__(self):
+        for name in ("omega_rabi", "detuning", "omega_rabi_2"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"drive {name} must be finite, got {value}")
+
     @property
     def symmetric(self) -> bool:
         return self.omega_rabi_2 is None or self.omega_rabi_2 == self.omega_rabi

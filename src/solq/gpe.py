@@ -56,8 +56,8 @@ class Grid1D:
     def __post_init__(self):
         if self.points < 256 or (self.points & (self.points - 1)) != 0:
             raise ValueError(f"points must be a power of two >= 256, got {self.points}")
-        if self.length <= 0.0:
-            raise ValueError("length must be positive")
+        if not 0.0 < self.length < math.inf:
+            raise ValueError(f"length must be finite and positive, got {self.length}")
         if self.spacing > 1.0 / 8.0:
             raise ValueError(
                 f"spacing {self.spacing:.4f} exceeds xi/8; raise points or shrink length"

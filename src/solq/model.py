@@ -45,12 +45,12 @@ class ModelParams:
     physical_mu: float | None = None
 
     def __post_init__(self):
-        if not self.nu >= 0.0:
-            raise ValueError(f"nu must be nonnegative, got {self.nu}")
-        if not self.mass_ratio > 0.0:
-            raise ValueError(f"mass_ratio must be positive, got {self.mass_ratio}")
-        if not self.n0_xi > 0.0:
-            raise ValueError(f"n0_xi must be positive, got {self.n0_xi}")
+        if not 0.0 <= self.nu < math.inf:
+            raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
+        if not 0.0 < self.mass_ratio < math.inf:
+            raise ValueError(f"mass_ratio must be finite and positive, got {self.mass_ratio}")
+        if not 0.0 < self.n0_xi < math.inf:
+            raise ValueError(f"n0_xi must be finite and positive, got {self.n0_xi}")
         if isinstance(self.wannier_convention, str):
             object.__setattr__(
                 self, "wannier_convention", ExponentConvention(self.wannier_convention)

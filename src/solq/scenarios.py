@@ -4,13 +4,16 @@ Each preset regenerates one figure-style dataset as a CSV plus a `.meta`
 sidecar (key=value: parameters, column names, tool version; never
 timestamps, so reruns are byte-identical). Scenario names follow the figure
 layout of the reference experiment set (fig2, fig3a, ... figS3) because
-that is how users ask for them.
+that is how users ask for them. `PRESETS` declares each preset's settings
+once; `Scenario` checks a caller's settings against it.
 """
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,8 +28,6 @@ from .entanglement import (
 )
 from .gpe import Boundary, Grid1D, imprint_solitons, multi_soliton_experiment, relax_impurity
 from .model import ModelParams, qubit_gap
-
-SCENARIO_NAMES = ("fig2", "fig3a", "fig3b", "fig4", "fig5a", "fig5b", "figS1", "figS3")
 
 # Physical anchor for the box experiment write-up: a 1.3 um healing length
 # and mu/hbar = 225 rad/s (an erbium-mass atom at this healing length) make
@@ -46,13 +47,38 @@ class Scenario:
     threads: int | None = None
 
     def __post_init__(self):
-        if self.name not in SCENARIO_NAMES:
+        """Fill in the preset's defaults and give every setting its default's type."""
+        preset = PRESETS.get(self.name)
+        if preset is None:
             raise ValueError(
                 f"unknown scenario {self.name!r}; choose from {', '.join(SCENARIO_NAMES)}"
             )
-        if self.points is not None and self.points < 1:
+        if self.points is None:
+            self.points = preset.points
+        elif self.points < 1:
             raise ValueError(f"points must be >= 1, got {self.points}")
+        settings = dict(preset.settings)
+        for key, value in self.settings.items():
+            if key not in settings:
+                raise ValueError(f"config key {key!r} is not used by scenario {self.name}")
+            settings[key] = parse_value(key, value, type(settings[key]))
+        self.settings = settings
         self.out_dir = Path(self.out_dir)
+
+
+def parse_value(key: str, value, kind=float):
+    """A config value as kind: a str as given, a float or int as a finite number."""
+    if kind is str:
+        return str(value)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config key {key!r} needs a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"config key {key!r} must be finite, got {value!r}")
+    if kind is int and not number.is_integer():
+        raise ValueError(f"config key {key!r} needs an integer, got {value!r}")
+    return kind(number)
 
 
 def format_value(v) -> str:
@@ -106,9 +132,8 @@ def _rates_for(sc: Scenario, d_values) -> list[RateSet]:
 
 def run_scenario(sc: Scenario) -> list[Path]:
     """Build the dataset for one preset; returns the written file paths."""
-    builder = _BUILDERS[sc.name]
     sc.out_dir.mkdir(parents=True, exist_ok=True)
-    return builder(sc)
+    return PRESETS[sc.name].build(sc)
 
 
 def _emit(sc: Scenario, header, rows, extra_meta=None) -> list[Path]:
@@ -123,9 +148,8 @@ def _emit(sc: Scenario, header, rows, extra_meta=None) -> list[Path]:
 
 
 def _build_fig2(sc: Scenario) -> list[Path]:
-    """Collective rates vs separation: d in [0, 10], 200 points."""
-    n = sc.points or 200
-    d_values = np.linspace(0.0, 10.0, n)
+    """Collective rates vs separation: d in [0, 10]."""
+    d_values = np.linspace(0.0, 10.0, sc.points)
     rates = _rates_for(sc, d_values)
     header = ["d_xi", "gamma", "Gamma_over_gamma", "eta_over_gamma"]
     rows = [
@@ -149,9 +173,8 @@ def _decay_concurrence(sc, d_list, t_grid):
 
 def _build_fig3a(sc: Scenario) -> list[Path]:
     """Entanglement decay after exciting one qubit, d = 1 and 2.5."""
-    n = sc.points or 301
-    t_final = float(sc.settings.get("t_final", 6.0))
-    t_grid = np.linspace(0.0, t_final, n)
+    t_final = sc.settings["t_final"]
+    t_grid = np.linspace(0.0, t_final, sc.points)
     d_list = (1.0, 2.5)
     numeric, formula = _decay_concurrence(sc, d_list, t_grid)
     header = [
@@ -166,11 +189,9 @@ def _build_fig3a(sc: Scenario) -> list[Path]:
 
 
 def _build_fig3b(sc: Scenario) -> list[Path]:
-    """Collective-basis populations during the same decay at d = 2.5."""
-    n = sc.points or 301
-    t_final = float(sc.settings.get("t_final", 6.0))
-    d = float(sc.settings.get("d", 2.5))
-    t_grid = np.linspace(0.0, t_final, n)
+    """Collective-basis populations during the same decay."""
+    t_final, d = sc.settings["t_final"], sc.settings["d"]
+    t_grid = np.linspace(0.0, t_final, sc.points)
     r = rate_set(d, sc.params)
     traj = evolve(basis_state("eg"), r, t_grid)
     header = ["t_gamma", "rho_ee", "rho_ss", "rho_aa", "rho_gg", "concurrence"]
@@ -191,16 +212,10 @@ def _build_fig3b(sc: Scenario) -> list[Path]:
 
 
 def _build_fig4(sc: Scenario) -> list[Path]:
-    """Driven build-up of concurrence from the ground state at d = 2.5."""
-    n = sc.points or 301
-    t_final = float(sc.settings.get("t_final", 30.0))
-    d = float(sc.settings.get("d", 2.5))
-    omegas = (
-        float(sc.settings.get("omega_1", 0.25)),
-        float(sc.settings.get("omega_2", 0.35)),
-    )
-    initial = sc.settings.get("initial_state", "gg")
-    t_grid = np.linspace(0.0, t_final, n)
+    """Driven build-up of concurrence from the ground state."""
+    d, initial = sc.settings["d"], sc.settings["initial_state"]
+    omegas = (sc.settings["omega_1"], sc.settings["omega_2"])
+    t_grid = np.linspace(0.0, sc.settings["t_final"], sc.points)
     r = rate_set(d, sc.params)
     cols = []
     for om in omegas:
@@ -216,11 +231,8 @@ def _build_fig4(sc: Scenario) -> list[Path]:
 
 def _build_fig5a(sc: Scenario) -> list[Path]:
     """Steady concurrence vs separation at fixed drive."""
-    n = sc.points or 120
-    omega = float(sc.settings.get("omega", 0.35))
-    d_min = float(sc.settings.get("d_min", 0.5))
-    d_max = float(sc.settings.get("d_max", 6.0))
-    d_values = np.linspace(d_min, d_max, n)
+    omega, d_min, d_max = (sc.settings[k] for k in ("omega", "d_min", "d_max"))
+    d_values = np.linspace(d_min, d_max, sc.points)
     rates = _rates_for(sc, d_values)
     drive = DriveParams(omega_rabi=omega)
     header = ["d_xi", "Gamma_over_gamma", "eta_over_gamma", "concurrence_steady"]
@@ -232,11 +244,9 @@ def _build_fig5a(sc: Scenario) -> list[Path]:
 
 
 def _build_fig5b(sc: Scenario) -> list[Path]:
-    """Steady concurrence vs drive strength at d = 2.5."""
-    n = sc.points or 201
-    d = float(sc.settings.get("d", 2.5))
-    omega_max = float(sc.settings.get("omega_max", 2.0))
-    omegas = np.linspace(0.0, omega_max, n)
+    """Steady concurrence vs drive strength at one separation."""
+    d, omega_max = sc.settings["d"], sc.settings["omega_max"]
+    omegas = np.linspace(0.0, omega_max, sc.points)
     r = rate_set(d, sc.params)
     header = ["omega_over_gamma", "concurrence_steady"]
     rows = [
@@ -254,9 +264,8 @@ def _build_fig5b(sc: Scenario) -> list[Path]:
 
 def _build_figS1(sc: Scenario) -> list[Path]:
     """Impurity orbitals in a single frozen soliton, against the analytic ladder."""
-    points = sc.points or 2048
-    length = float(sc.settings.get("box_length", 60.0))
-    grid = Grid1D(points=points, length=length, boundary=Boundary.BOX)
+    length = sc.settings["box_length"]
+    grid = Grid1D(points=sc.points, length=length, boundary=Boundary.BOX)
     sol = imprint_solitons(grid, [0.0])
     states = relax_impurity(sol, sc.params)
     ladder = pt_spectrum(sc.params)
@@ -266,7 +275,7 @@ def _build_figS1(sc: Scenario) -> list[Path]:
     )
     extra = {
         "box_length": length,
-        "grid_points": points,
+        "grid_points": sc.points,
         "energy_0": states.energies[0],
         "energy_1": states.energies[1],
         "bound_0": states.bound[0],
@@ -281,10 +290,9 @@ def _build_figS1(sc: Scenario) -> list[Path]:
 def _build_figS3(sc: Scenario) -> list[Path]:
     """Soliton-chain stability run in a box, with the physical mapping used
     to size it recorded alongside."""
-    count = int(sc.settings.get("count", 24))
-    spacing = float(sc.settings.get("spacing", 2.5))
-    box_length = float(sc.settings.get("box_length", 100.0 / FIGS3_XI_UM))
-    t_final = float(sc.settings.get("t_final", 0.100 * FIGS3_MU_RAD_S))
+    count, spacing, box_length, t_final = (
+        sc.settings[k] for k in ("count", "spacing", "box_length", "t_final")
+    )
     tracks = multi_soliton_experiment(
         count, spacing, box_length, t_final, points=sc.points
     )
@@ -306,16 +314,31 @@ def _build_figS3(sc: Scenario) -> list[Path]:
     return _emit(sc, header, rows, extra)
 
 
-_BUILDERS = {
-    "fig2": _build_fig2,
-    "fig3a": _build_fig3a,
-    "fig3b": _build_fig3b,
-    "fig4": _build_fig4,
-    "fig5a": _build_fig5a,
-    "fig5b": _build_fig5b,
-    "figS1": _build_figS1,
-    "figS3": _build_figS3,
+class Preset(NamedTuple):
+    """One dataset: its builder, default --points and settings; each
+    setting's default also fixes the type its values are parsed to."""
+
+    build: Callable[[Scenario], list[Path]]
+    points: int | None  # None: the builder sizes its own grid
+    settings: dict
+
+
+PRESETS = {
+    "fig2": Preset(_build_fig2, 200, {}),
+    "fig3a": Preset(_build_fig3a, 301, {"t_final": 6.0}),
+    "fig3b": Preset(_build_fig3b, 301, {"t_final": 6.0, "d": 2.5}),
+    "fig4": Preset(_build_fig4, 301, {
+        "t_final": 30.0, "d": 2.5, "omega_1": 0.25, "omega_2": 0.35, "initial_state": "gg",
+    }),
+    "fig5a": Preset(_build_fig5a, 120, {"omega": 0.35, "d_min": 0.5, "d_max": 6.0}),
+    "fig5b": Preset(_build_fig5b, 201, {"d": 2.5, "omega_max": 2.0}),
+    "figS1": Preset(_build_figS1, 2048, {"box_length": 60.0}),
+    "figS3": Preset(_build_figS3, None, {
+        "count": 24, "spacing": 2.5,
+        "box_length": 100.0 / FIGS3_XI_UM, "t_final": 0.100 * FIGS3_MU_RAD_S,
+    }),
 }
+SCENARIO_NAMES = tuple(PRESETS)
 
 
 def validate_report(params: ModelParams, d_check: float = 2.5) -> tuple[dict, bool]:

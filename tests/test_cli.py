@@ -1,8 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import solq
 from solq.cli import main, parse_config
-from solq.couplings import _table
+from solq.couplings import _table, rate_set
+from solq.dynamics import DriveParams
+from solq.gpe import Grid1D
+from solq.model import ModelParams
+from solq.scenarios import Scenario
 
 
 def read_csv(path):
@@ -56,6 +66,16 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         (["validate"], "d=2.0\n", "'d' is not a model parameter"),
         (["validate"], "nu=abc\n", "'nu' needs a number"),
         (["rates"], "nu=abc\n", "'nu' needs a number"),
+        (["decay"], "t_final=abc\n", "'t_final' needs a number, got 'abc'"),
+        (["gpe-multisoliton"], "count=2.5\n", "'count' needs an integer, got '2.5'"),
+        # non-finite input stops where it enters, not as a traceback, a
+        # failed regime check or a column of zeros
+        (["validate"], "n0_xi=inf\n", "'n0_xi' must be finite"),
+        (["validate"], "nu=inf\n", "'nu' must be finite"),
+        (["validate", "--d", "nan"], "", "d must be finite"),
+        (["steady", "--scenario", "fig5b"], "d=nan\n", "'d' must be finite"),
+        (["steady", "--scenario", "fig5a"], "omega=nan\n", "'omega' must be finite"),
+        (["gpe-boundstates"], "box_length=nan\n", "'box_length' must be finite"),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, monkeypatch, capsys, argv, text, needle):
@@ -69,6 +89,67 @@ def test_bad_config_value_exits_2(tmp_path, monkeypatch, capsys, argv, text, nee
     assert len(captured.err.splitlines()) == 1
     assert needle in captured.err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ModelParams(nu=float("inf")),
+        lambda: ModelParams(mass_ratio=float("nan")),
+        lambda: ModelParams(n0_xi=float("inf")),
+        lambda: rate_set(float("nan"), ModelParams()),
+        lambda: DriveParams(omega_rabi=float("nan")),
+        lambda: DriveParams(omega_rabi=0.3, detuning=float("inf")),
+        lambda: Grid1D(points=2048, length=float("nan")),
+        lambda: Scenario("fig5a", settings={"omega": float("nan")}),
+    ],
+)
+def test_library_rejects_nonfinite_input(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+def test_scenario_settings_are_checked_and_typed():
+    with pytest.raises(ValueError, match="'t_fnal' is not used by scenario fig3a"):
+        Scenario("fig3a", settings={"t_fnal": 2.0})
+    sc = Scenario("figS3", settings={"count": "3", "spacing": "8"})
+    assert sc.settings["count"] == 3 and isinstance(sc.settings["count"], int)
+    assert sc.settings["spacing"] == 8.0 and isinstance(sc.settings["spacing"], float)
+    assert sc.settings["t_final"] == 22.5 and sc.points is None
+    fig4 = Scenario("fig4", settings={"initial_state": "eg"})
+    assert fig4.settings["initial_state"] == "eg" and fig4.points == 301
+
+
+@pytest.mark.parametrize(
+    ("command", "keys"),
+    [
+        ("rates", None),
+        ("decay", "d, t_final"),
+        ("driven", "d, initial_state, omega_1, omega_2, t_final"),
+        ("steady", "d, d_max, d_min, omega, omega_max"),
+        ("gpe-boundstates", "box_length"),
+        ("gpe-multisoliton", "box_length, count, spacing, t_final"),
+    ],
+)
+def test_help_lists_each_commands_config_keys(monkeypatch, capsys, command, keys):
+    monkeypatch.setenv("COLUMNS", "400")  # one epilog line
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("config keys:")]
+    if keys is None:
+        assert lines == []
+    else:
+        model = "nu, mass_ratio, n0_xi, wannier_convention"
+        assert lines == [f"config keys: {model}, {keys}"]
+
+
+def test_cli_import_leaves_out_scipy():
+    code = "import sys, solq.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(Path(solq.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson as scipy_simpson
 
+from solq import couplings
 from solq.bogoliubov import group_velocity, resonant_wavevector
 from solq.boundstates import wannier_pair
 from solq.couplings import (
@@ -16,6 +17,7 @@ from solq.couplings import (
     principal_value_integral,
     rate_set,
     rwa_report,
+    simpson,
 )
 from solq.model import ModelParams, chi_over_g, qubit_gap, wannier_alpha
 
@@ -100,6 +102,33 @@ def test_pv_against_adaptive_cauchy_quadrature():
     fw = correlation_panel(karr, d, ALPHA) / vgw
     pv = principal_value_integral(fw, c12 / vg0, wgrid, W0, wmax)
     assert abs(pv - oracle) < 1e-6 * abs(oracle)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 101, 1600, 1601])
+def test_simpson_matches_scipy(n):
+    # odd and even point counts on irregular grids: pairs of intervals, and
+    # Cartwright's correction for the last one when n is even
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        x = np.cumsum(rng.uniform(0.01, 1.0, n))
+        y = np.sin(x) + rng.normal(size=n)
+        oracle = scipy_simpson(y, x=x)
+        assert abs(simpson(y, x) - oracle) <= 1e-12 * abs(oracle)
+
+
+def test_simpson_matches_scipy_on_pv_integrands(monkeypatch):
+    # the subtracted integrands that rate_set's PV integral hands to simpson,
+    # on the 1600-point grid, for three parameter sets
+    handed = []
+    monkeypatch.setattr(couplings, "simpson", lambda y, x: handed.append((y, x)) or 0.0)
+    for params in (P, ModelParams(nu=0.6, mass_ratio=1.3), ModelParams(nu=0.78, mass_ratio=2.0)):
+        for d in (0.0, 1.0, 2.5, 6.0):
+            rate_set(d, params)
+    monkeypatch.undo()
+    assert len(handed) == 12 and len(handed[0][1]) == N_OMEGA - 1
+    for y, x in handed:
+        oracle = scipy_simpson(y, x=x)
+        assert abs(couplings.simpson(y, x) - oracle) <= 1e-12 * abs(oracle)
 
 
 def test_pv_excision_independence():
