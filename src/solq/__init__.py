@@ -71,7 +71,6 @@ from .gpe import (
     ImpurityStates,
     LatticeField,
     SolitonTracks,
-    StepKind,
     gpe_energy,
     imprint_solitons,
     multi_soliton_experiment,
@@ -96,6 +95,6 @@ __all__ = [
     "ConcurrenceResult", "concurrence", "concurrence_closed_forms",
     "steady_concurrence_formula", "undriven_concurrence_formula",
     "Boundary", "Grid1D", "ImpurityStates", "LatticeField", "SolitonTracks",
-    "StepKind", "gpe_energy", "imprint_solitons", "multi_soliton_experiment",
+    "gpe_energy", "imprint_solitons", "multi_soliton_experiment",
     "relax_impurity", "split_step_evolve",
 ]

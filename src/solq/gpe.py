@@ -12,8 +12,11 @@ keeps the spectral kinetic step exact.
 
 Every run goes through one stepper, `_strang` (K/2 N K/2 per step). The
 trailing K/2 of a step and the leading K/2 of the next fuse into one kinetic
-factor, so a step costs one FFT pair unless the caller looks at the full
-state: at a record, at the last step, or for a per-step constraint.
+factor, so a step costs one FFT pair; a record and the last step each add
+one inverse FFT. `split_step_evolve` runs real time. The imaginary-time
+relaxations (box background, soliton imprinting, impurity orbitals) apply
+their constraint inside the pointwise step N and once more on the returned
+state.
 
 The impurity module relaxes the two localized orbitals inside a frozen
 soliton (one-way coupling) by parity-projected imaginary time.
@@ -38,11 +41,6 @@ DT_CAP_FACTOR = 0.1  # dt <= DT_CAP_FACTOR * dx^2 for the nonlinear stepping
 class Boundary(Enum):
     PERIODIC = "periodic"
     BOX = "box"
-
-
-class StepKind(Enum):
-    REAL_TIME = "real"
-    IMAGINARY_TIME = "imaginary"
 
 
 @dataclass(frozen=True)
@@ -91,13 +89,6 @@ class Grid1D:
             return 0.5 * self.length
         return 0.5 * self.length - WALL_INSET
 
-    def interior_halfwidth(self) -> float:
-        """Half-width of the near-flat region inside the walls (the tanh
-        foothills reach a few widths past the wall center)."""
-        if self.boundary is Boundary.PERIODIC:
-            return 0.5 * self.length
-        return 0.5 * self.length - WALL_INSET - 4.0 * WALL_WIDTH
-
 
 @dataclass
 class LatticeField:
@@ -120,33 +111,27 @@ def gpe_energy(field: LatticeField) -> float:
     return float(np.sum(integrand) * grid.spacing)
 
 
-def _strang(psi, grid, n_steps, dt, nonlinear, mass=1.0,
-            kind=StepKind.REAL_TIME, record_at=(), constrain=None):
+def _strang(psi, grid, n_steps, dt, nonlinear, mass=1.0, imaginary=False, record_at=()):
     """n_steps Strang steps K/2 N K/2 of -1/(2 mass) d2/dx2 and the pointwise
-    nonlinear(psi); returns (psi, records), (t, psi-copy) at the steps in
-    record_at. constrain(psi) acts on the full state after every step. A
-    non-finite value (checked every 100 steps and at the last) aborts.
+    nonlinear(psi), in imaginary time if asked; returns (psi, records), with
+    (t, psi) at the steps in record_at. A non-finite value (checked every 100
+    steps and at the last) aborts.
     """
-    rate = 1j if kind is StepKind.REAL_TIME else 1.0
+    rate = 1.0 if imaginary else 1j
     half = np.exp(-rate * (grid.k ** 2 / (2.0 * mass)) * (0.5 * dt))
     full = half * half
     records = []
     phi = half * np.fft.fft(psi)  # the state after the leading K/2
     for step in range(1, n_steps + 1):
         psi = nonlinear(np.fft.ifft(phi))
-        phi = np.fft.fft(psi)
-        if constrain is None and step not in record_at and step < n_steps:
-            phi *= full
-        else:
-            psi = np.fft.ifft(half * phi)
-            if constrain is not None:
-                psi = constrain(psi)
-            if step in record_at:
-                records.append((step * dt, psi.copy()))
-            if step < n_steps:
-                phi = half * np.fft.fft(psi)
         if (step % 100 == 0 or step == n_steps) and not np.all(np.isfinite(psi)):
             raise RuntimeError(f"field diverged (non-finite value at step {step})")
+        phi = np.fft.fft(psi)
+        if step in record_at or step == n_steps:
+            psi = np.fft.ifft(half * phi)
+            if step in record_at:
+                records.append((step * dt, psi))
+        phi *= full
     return psi, records
 
 
@@ -154,57 +139,47 @@ def split_step_evolve(
     field: LatticeField,
     t_final: float,
     dt: float | None = None,
-    kind: StepKind = StepKind.REAL_TIME,
     n_records: int = 0,
 ):
-    """Propagate the field; returns (field, records).
+    """Propagate the field in real time; returns (field, records).
 
-    records is a list of (t, psi-copy) pairs, n_records of them spread evenly
-    over the run (empty when n_records = 0). Imaginary time renormalizes to
-    the initial norm after every step. A NaN anywhere aborts with the step
-    index in the message.
+    dt defaults to the step cap DT_CAP_FACTOR * dx^2 and may not exceed it;
+    it is shortened so that a whole number of steps reaches t_final. records
+    is a list of (t, psi) pairs, n_records of them spread evenly over the run
+    (empty when n_records = 0). A NaN anywhere aborts with the step index in
+    the message.
     """
     grid = field.grid
     dx = grid.spacing
     cap = DT_CAP_FACTOR * dx * dx
     if dt is None:
         dt = cap
-    if dt > cap * (1.0 + 1e-12):
-        raise ValueError(f"dt = {dt:.3e} exceeds the stability cap {cap:.3e}")
-    if t_final <= 0.0:
-        raise ValueError("t_final must be positive")
-    if isinstance(kind, str):
-        kind = StepKind(kind)
+    if not 0.0 < dt <= cap * (1.0 + 1e-12):
+        raise ValueError(f"dt = {dt:.3e} must be positive and within the step cap {cap:.3e}")
+    if not 0.0 < t_final < math.inf:
+        raise ValueError(f"t_final must be finite and positive, got {t_final}")
 
-    n_steps = max(1, int(math.ceil(t_final / dt)))
+    n_steps = math.ceil(t_final / dt)
     dt = t_final / n_steps
     pot = grid.wall_potential()
     psi = np.ascontiguousarray(field.psi, dtype=complex)
     record_at = {int(round((i + 1) * n_steps / n_records)) for i in range(n_records)}
-
-    norm0 = math.sqrt(np.sum(psi.real ** 2 + psi.imag ** 2) * dx)
-
-    def renormalize(p):
-        return p * (norm0 / math.sqrt(np.sum(p.real ** 2 + p.imag ** 2) * dx))
-
-    real = kind is StepKind.REAL_TIME
-    psi, records = _strang(
-        psi, grid, n_steps, dt,
-        lambda p: (_kernels.phase_step if real else _kernels.decay_step)(p, pot, dt),
-        kind=kind, record_at=record_at, constrain=None if real else renormalize)
+    psi, records = _strang(psi, grid, n_steps, dt, lambda p: _kernels.phase_step(p, pot, dt),
+                           record_at=record_at)
     return LatticeField(grid=grid, psi=psi), records
 
 
-def _relax_fixed_mu(grid, psi, stages, constrain=None):
+def _relax_fixed_mu(grid, psi, stages, constrain=lambda p: p):
     """Imaginary time at fixed chemical potential mu = 1 over (dt, t) stages:
-    each step carries an e^{+mu dt} lift, so no norm constraint is needed."""
+    each step carries an e^{+mu dt} lift, so no norm constraint is needed.
+    constrain acts inside every pointwise step and on the returned state."""
     pot = grid.wall_potential()
     for dt, t_stage in stages:
         lift = math.exp(dt)
         psi, _ = _strang(psi, grid, int(round(t_stage / dt)), dt,
-                         lambda p: _kernels.decay_step(p, pot, dt) * lift,
-                         kind=StepKind.IMAGINARY_TIME, constrain=constrain)
-    return psi
+                         lambda p: constrain(_kernels.decay_step(p, pot, dt) * lift),
+                         imaginary=True)
+    return constrain(psi)
 
 
 @lru_cache(maxsize=8)
@@ -232,8 +207,8 @@ def imprint_solitons(grid: Grid1D, positions, relax_time: float = 3.0) -> Lattic
 
     Starts from a product of tanh cores on the relaxed background, then runs
     fixed-chemical-potential imaginary time while re-imposing the sign
-    pattern every step. The sign constraint pins the nodes, so the density
-    relaxes onto the true stationary chain instead of the bare product
+    pattern inside every step. The sign constraint pins the nodes, so the
+    density relaxes onto the true stationary chain instead of the bare product
     ansatz, whose overlapping tails depress the density between cores at
     close spacing (the excess pressure visibly unzips a 2.5-xi chain).
     Adjacent cores alternate sign, giving the pi phase jump per soliton.
@@ -300,6 +275,11 @@ def relax_impurity(
     is exact. A nonnegative Rayleigh quotient relative to the plateau means
     the channel supports no bound state and is flagged.
     """
+    if not (0.0 < dt < math.inf and 0.0 < t_relax < math.inf):
+        raise ValueError(f"dt and t_relax must be finite and positive, got {dt} and {t_relax}")
+    n_steps = int(round(t_relax / dt))
+    if n_steps < 1:
+        raise ValueError(f"t_relax = {t_relax} rounds to zero steps of dt = {dt}")
     grid = soliton_field.grid
     mr = params.mass_ratio
     depth = params.nu * (params.nu + 1.0) / (2.0 * mr)
@@ -308,7 +288,6 @@ def relax_impurity(
     n = grid.points
     flip = (n - np.arange(n)) % n  # x -> -x on the periodic grid
     decay = np.exp(-dt * pot)
-    n_steps = int(round(t_relax / dt))
 
     def relax(seed, parity):
         # every factor of a step is linear and even, so projecting after the
@@ -321,7 +300,7 @@ def relax_impurity(
             return psi / nrm
 
         psi, _ = _strang(seed.astype(complex), grid, n_steps, dt, lambda p: project(p * decay),
-                         mass=mr, kind=StepKind.IMAGINARY_TIME)
+                         mass=mr, imaginary=True)
         return project(psi)
 
     x = grid.x

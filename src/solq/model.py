@@ -17,14 +17,11 @@ class ExponentConvention(Enum):
 
     DEFAULT    alpha = sqrt(nu (nu + 1)), the tail matched to the full well
                depth; used by all rate calculations.
-    DOUBLED    alpha = sqrt(2 nu (nu + 1)), same matching with a doubled
-               depth bookkeeping.
     EIGENSTATE alpha = nu, which makes the ground orbital the exact bound
                state of the matched sech^2 well.
     """
 
     DEFAULT = "default"
-    DOUBLED = "doubled"
     EIGENSTATE = "eigenstate"
 
 
@@ -89,8 +86,6 @@ def wannier_alpha(params: ModelParams) -> float:
     conv = params.wannier_convention
     if conv is ExponentConvention.DEFAULT:
         return math.sqrt(nu * (nu + 1.0))
-    if conv is ExponentConvention.DOUBLED:
-        return math.sqrt(2.0 * nu * (nu + 1.0))
     return nu
 
 

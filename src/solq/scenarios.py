@@ -215,13 +215,15 @@ def _build_fig4(sc: Scenario) -> list[Path]:
     """Driven build-up of concurrence from the ground state."""
     d, initial = sc.settings["d"], sc.settings["initial_state"]
     omegas = (sc.settings["omega_1"], sc.settings["omega_2"])
+    header = ["t_gamma"] + [f"concurrence_omega_{format_value(om)}" for om in omegas]
+    if header[1] == header[2]:
+        raise ValueError(f"omega_1 and omega_2 give one column name, {header[1]}")
     t_grid = np.linspace(0.0, sc.settings["t_final"], sc.points)
     r = rate_set(d, sc.params)
     cols = []
     for om in omegas:
         traj = evolve(basis_state(initial), r, t_grid, drive=DriveParams(omega_rabi=om))
         cols.append([concurrence(s).value for s in traj.states])
-    header = ["t_gamma", f"concurrence_omega_{omegas[0]:g}", f"concurrence_omega_{omegas[1]:g}"]
     rows = list(zip(t_grid, cols[0], cols[1]))
     return _emit(
         sc, header, rows,

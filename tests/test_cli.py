@@ -76,6 +76,10 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         (["steady", "--scenario", "fig5b"], "d=nan\n", "'d' must be finite"),
         (["steady", "--scenario", "fig5a"], "omega=nan\n", "'omega' must be finite"),
         (["gpe-boundstates"], "box_length=nan\n", "'box_length' must be finite"),
+        (["validate"], "wannier_convention=doubled\n", "'doubled' is not a valid"),
+        # two drives that agree to 12 digits would name one column twice
+        (["driven"], "omega_1=0.35\nomega_2=0.3500000000001\n",
+         "omega_1 and omega_2 give one column name"),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, monkeypatch, capsys, argv, text, needle):
@@ -285,6 +289,19 @@ def test_driven_dataset(tmp_path):
     assert rows[0, 1] == 0.0 and rows[0, 2] == 0.0  # ground-state start
     meta = read_meta(tmp_path / "fig4.meta")
     assert meta["initial_state"] == "gg"
+
+
+def test_driven_columns_are_named_like_the_meta(tmp_path):
+    # six significant digits named both columns concurrence_omega_0.35
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_final=2.0\nomega_1=0.35\nomega_2=0.35000001\n")
+    code = main(["driven", "--points", "3", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 0
+    header, _ = read_csv(tmp_path / "fig4.csv")
+    meta = read_meta(tmp_path / "fig4.meta")
+    assert header[1:] == [f"concurrence_omega_{meta['omega_1']}",
+                          f"concurrence_omega_{meta['omega_2']}"]
+    assert header[2] == "concurrence_omega_0.35000001"
 
 
 def test_boundstate_dataset(tmp_path):

@@ -56,15 +56,13 @@ def test_qubit_gap_sign():
 def test_wannier_alpha_conventions():
     nu = 0.75
     assert abs(wannier_alpha(ModelParams(nu=nu)) - math.sqrt(nu * (nu + 1.0))) < 1e-15
-    doubled = ModelParams(nu=nu, wannier_convention=ExponentConvention.DOUBLED)
-    assert abs(wannier_alpha(doubled) - math.sqrt(2.0 * nu * (nu + 1.0))) < 1e-15
     eig = ModelParams(nu=nu, wannier_convention=ExponentConvention.EIGENSTATE)
     assert wannier_alpha(eig) == nu
 
 
 def test_convention_accepts_strings():
-    p = ModelParams(wannier_convention="doubled")
-    assert p.wannier_convention is ExponentConvention.DOUBLED
+    p = ModelParams(wannier_convention="eigenstate")
+    assert p.wannier_convention is ExponentConvention.EIGENSTATE
     with pytest.raises(ValueError):
         ModelParams(wannier_convention="squared")
 
