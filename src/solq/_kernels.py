@@ -18,5 +18,6 @@ def phase_step(psi, pot, dt):
 
 
 def decay_step(psi, pot, dt):
-    """One pointwise nonlinear+potential decay factor (imaginary time)."""
-    return psi * np.exp(-dt * (psi.real ** 2 + psi.imag ** 2 + pot))
+    """One pointwise nonlinear+potential decay factor (imaginary time) of a
+    real field."""
+    return psi * np.exp(-dt * (psi * psi + pot))

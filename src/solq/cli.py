@@ -68,10 +68,6 @@ def _add_common(sub: argparse.ArgumentParser, scenarios) -> None:
     sub.add_argument("--out", default=".", help="output directory (default .)")
     sub.add_argument("--points", type=int, help="override sweep/grid resolution")
     sub.add_argument(
-        "--seed", type=int,
-        help="recorded in the metadata sidecar; physics is deterministic",
-    )
-    sub.add_argument(
         "--threads", type=int,
         help="sweep parallelism (default: available cores)",
     )
@@ -113,7 +109,6 @@ def _run_dataset(args) -> int:
         settings=settings,
         out_dir=Path(args.out),
         points=args.points,
-        seed=args.seed,
         threads=args.threads,
     )
     paths = run_scenario(scenario)

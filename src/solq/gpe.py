@@ -10,13 +10,19 @@ the background rather than being subtracted). Box experiments run on a
 periodic grid with steep tanh walls added as an external potential, which
 keeps the spectral kinetic step exact.
 
-Every run goes through one stepper, `_strang` (K/2 N K/2 per step). The
-trailing K/2 of a step and the leading K/2 of the next fuse into one kinetic
-factor, so a step costs one FFT pair; a record and the last step each add
-one inverse FFT. `split_step_evolve` runs real time. The imaginary-time
-relaxations (box background, soliton imprinting, impurity orbitals) apply
-their constraint inside the pointwise step N and once more on the returned
-state.
+The box background is the stationary field at chemical potential 1, found
+by Newton's method with a preconditioned conjugate-gradient inner solve; it
+stops once the stationarity residual is at the rounding level of the
+spectral second derivative (max|F| < NEWTON_TOL on the preset grids).
+
+Every time-stepped run goes through one stepper, `_strang` (K/2 N K/2 per
+step). The trailing K/2 of a step and the leading K/2 of the next fuse into
+one kinetic factor, so a step costs one FFT pair; a record and the last step
+each add one inverse FFT. `split_step_evolve` runs real time. The
+imaginary-time relaxations (soliton imprinting, impurity orbitals) run on
+real fields with real FFTs, since the kinetic factor is real and even, and
+apply their constraint inside the pointwise step N and once more on the
+returned state.
 
 The impurity module relaxes the two localized orbitals inside a frozen
 soliton (one-way coupling) by parity-projected imaginary time.
@@ -36,6 +42,8 @@ WALL_HEIGHT = 50.0   # box wall height, units of mu
 WALL_WIDTH = 1.0     # wall rise width, units of xi
 WALL_INSET = 2.5     # wall center sits this far inside the grid edge
 DT_CAP_FACTOR = 0.1  # dt <= DT_CAP_FACTOR * dx^2 for the nonlinear stepping
+NEWTON_TOL = 1e-11   # max|F| at which the box background's Newton solve stops
+NEWTON_MAX_ITER = 20  # Newton steps before box_background gives up
 
 
 class Boundary(Enum):
@@ -111,24 +119,34 @@ def gpe_energy(field: LatticeField) -> float:
     return float(np.sum(integrand) * grid.spacing)
 
 
+def _real_k(grid):
+    """Wavenumbers of the real FFT of a field on the grid."""
+    return 2.0 * np.pi * np.fft.rfftfreq(grid.points, d=grid.spacing)
+
+
 def _strang(psi, grid, n_steps, dt, nonlinear, mass=1.0, imaginary=False, record_at=()):
     """n_steps Strang steps K/2 N K/2 of -1/(2 mass) d2/dx2 and the pointwise
-    nonlinear(psi), in imaginary time if asked; returns (psi, records), with
-    (t, psi) at the steps in record_at. A non-finite value (checked every 100
-    steps and at the last) aborts.
+    nonlinear(psi); returns (psi, records), with (t, psi) at the steps in
+    record_at. Imaginary time takes and keeps a real psi (real FFTs), real
+    time a complex one. A non-finite value (checked every 100 steps and at
+    the last) aborts.
     """
-    rate = 1.0 if imaginary else 1j
-    half = np.exp(-rate * (grid.k ** 2 / (2.0 * mass)) * (0.5 * dt))
+    if imaginary:
+        fft, ifft = np.fft.rfft, np.fft.irfft
+        half = np.exp(-(_real_k(grid) ** 2 / (2.0 * mass)) * (0.5 * dt))
+    else:
+        fft, ifft = np.fft.fft, np.fft.ifft
+        half = np.exp(-1j * (grid.k ** 2 / (2.0 * mass)) * (0.5 * dt))
     full = half * half
     records = []
-    phi = half * np.fft.fft(psi)  # the state after the leading K/2
+    phi = half * fft(psi)  # the state after the leading K/2
     for step in range(1, n_steps + 1):
-        psi = nonlinear(np.fft.ifft(phi))
+        psi = nonlinear(ifft(phi))
         if (step % 100 == 0 or step == n_steps) and not np.all(np.isfinite(psi)):
             raise RuntimeError(f"field diverged (non-finite value at step {step})")
-        phi = np.fft.fft(psi)
+        phi = fft(psi)
         if step in record_at or step == n_steps:
-            psi = np.fft.ifft(half * phi)
+            psi = ifft(half * phi)
             if step in record_at:
                 records.append((step * dt, psi))
         phi *= full
@@ -169,37 +187,71 @@ def split_step_evolve(
     return LatticeField(grid=grid, psi=psi), records
 
 
-def _relax_fixed_mu(grid, psi, stages, constrain=lambda p: p):
-    """Imaginary time at fixed chemical potential mu = 1 over (dt, t) stages:
-    each step carries an e^{+mu dt} lift, so no norm constraint is needed.
-    constrain acts inside every pointwise step and on the returned state."""
-    pot = grid.wall_potential()
-    for dt, t_stage in stages:
-        lift = math.exp(dt)
-        psi, _ = _strang(psi, grid, int(round(t_stage / dt)), dt,
-                         lambda p: constrain(_kernels.decay_step(p, pot, dt) * lift),
-                         imaginary=True)
-    return constrain(psi)
+def _pcg(apply, b, precondition, rtol):
+    """Preconditioned conjugate gradients for the SPD system apply(x) = b,
+    from x = 0, until |r| <= rtol |b| or 200 steps."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = precondition(r)
+    p = z.copy()
+    rz = r @ z
+    stop = rtol * math.sqrt(b @ b)
+    for _ in range(200):
+        ap = apply(p)
+        a = rz / (p @ ap)
+        x += a * p
+        r -= a * ap
+        if math.sqrt(r @ r) <= stop:
+            break
+        z = precondition(r)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    return x
 
 
 @lru_cache(maxsize=8)
 def box_background(grid: Grid1D) -> np.ndarray:
     """Stationary soliton-free field of the grid (ones when periodic).
 
-    For a box the fixed-chemical-potential stationary state is found by
-    imaginary time without a norm constraint, so the interior density relaxes
-    locally to 1 instead of being set by an arbitrary normalization. A
-    Thomas-Fermi start plus a coarse-then-fine schedule converges to machine
-    level; skipping this relaxation and using the Thomas-Fermi envelope
-    directly turns out to eject deep gray solitons from the wall junctions.
+    This is the real root of F(psi) = -1/2 psi'' + (psi^2 + V - 1) psi at
+    fixed chemical potential 1, so the interior density settles locally to 1
+    instead of being set by an arbitrary normalization. Newton's method from
+    the Thomas-Fermi profile (ones when V = 0, already the exact root) solves
+    it, each step by conjugate gradients on the Jacobian
+    -1/2 d2/dx2 + 3 psi^2 + V - 1 (SPD here) preconditioned by
+    (k^2/2 + 2)^-1. It stops at max|F| < NEWTON_TOL, or on grids finer than
+    about xi/39 at three times the rounding floor of the spectral psi''
+    (about 2 eps max(k^2/2)), and raises RuntimeError after NEWTON_MAX_ITER
+    steps. Using the Thomas-Fermi envelope directly turns out to eject deep
+    gray solitons from the wall junctions.
     """
-    if grid.boundary is Boundary.PERIODIC:
-        return np.ones(grid.points)
-    tf = np.sqrt(np.maximum(0.0, 1.0 - grid.wall_potential() / WALL_HEIGHT))
-    stages = ((0.01, 10.0), (DT_CAP_FACTOR * grid.spacing ** 2, 1.0))
-    out = np.abs(_relax_fixed_mu(grid, tf.astype(complex), stages))
-    out.setflags(write=False)
-    return out
+    pot = grid.wall_potential()
+    half_k2 = 0.5 * _real_k(grid) ** 2
+    inverse = 1.0 / (half_k2 + 2.0)
+
+    def kinetic(f):
+        return np.fft.irfft(half_k2 * np.fft.rfft(f))
+
+    def precondition(r):
+        return np.fft.irfft(inverse * np.fft.rfft(r))
+
+    tol = max(NEWTON_TOL, 6.0 * np.finfo(float).eps * half_k2[-1])
+    psi = np.sqrt(np.maximum(0.0, 1.0 - pot / WALL_HEIGHT))
+    for step in range(NEWTON_MAX_ITER + 1):
+        residual = kinetic(psi) + (psi * psi + pot - 1.0) * psi
+        err = float(np.max(np.abs(residual)))
+        if err < tol:
+            psi.setflags(write=False)
+            return psi
+        if step == NEWTON_MAX_ITER:
+            break
+        diag = 3.0 * psi * psi + pot - 1.0
+        psi = psi - _pcg(lambda v: kinetic(v) + diag * v, residual, precondition,
+                         rtol=min(0.1, err))
+    raise RuntimeError(
+        f"box background did not converge: max residual {err:.3e} after "
+        f"{NEWTON_MAX_ITER} Newton steps"
+    )
 
 
 def imprint_solitons(grid: Grid1D, positions, relax_time: float = 3.0) -> LatticeField:
@@ -225,7 +277,7 @@ def imprint_solitons(grid: Grid1D, positions, relax_time: float = 3.0) -> Lattic
         raise ValueError("soliton positions fall outside the usable interior")
 
     x = grid.x
-    psi = box_background(grid).astype(complex)
+    psi = box_background(grid).copy()
     sign = np.ones_like(x)
     for p in positions:
         core = np.tanh(x - p)
@@ -236,10 +288,15 @@ def imprint_solitons(grid: Grid1D, positions, relax_time: float = 3.0) -> Lattic
         sign *= np.sign(core)
 
     if relax_time > 0.0:
-        psi = _relax_fixed_mu(
-            grid, psi, ((0.003, relax_time), (DT_CAP_FACTOR * grid.spacing ** 2, 0.5)),
-            constrain=lambda p: np.abs(p) * sign,
-        )
+        # imaginary time at fixed chemical potential mu = 1 on the real field:
+        # each step carries an e^{+mu dt} lift, so no norm constraint is needed
+        pot = grid.wall_potential()
+        for dt, t_stage in ((0.003, relax_time), (DT_CAP_FACTOR * grid.spacing ** 2, 0.5)):
+            lift = math.exp(dt)
+            psi, _ = _strang(psi, grid, int(round(t_stage / dt)), dt,
+                             lambda p: np.abs(_kernels.decay_step(p, pot, dt) * lift) * sign,
+                             imaginary=True)
+        psi = np.abs(psi) * sign
     return LatticeField(grid=grid, psi=psi.astype(complex))
 
 
@@ -294,12 +351,12 @@ def relax_impurity(
         # potential step rescales the state only; the final call sets the scale
         def project(psi):
             psi = 0.5 * (psi + parity * psi[flip])
-            nrm = math.sqrt(np.sum(psi.real ** 2 + psi.imag ** 2) * grid.spacing)
+            nrm = math.sqrt((psi @ psi) * grid.spacing)
             if nrm == 0.0 or not np.isfinite(nrm):
                 raise RuntimeError("impurity relaxation collapsed (zero or non-finite norm)")
             return psi / nrm
 
-        psi, _ = _strang(seed.astype(complex), grid, n_steps, dt, lambda p: project(p * decay),
+        psi, _ = _strang(seed, grid, n_steps, dt, lambda p: project(p * decay),
                          mass=mr, imaginary=True)
         return project(psi)
 
@@ -308,8 +365,8 @@ def relax_impurity(
     phi0, phi1 = relax(gauss, +1.0), relax(x * gauss, -1.0)
     e0, e1 = (_rayleigh(phi, grid, pot, mr) - depth for phi in (phi0, phi1))
     return ImpurityStates(
-        phi0=LatticeField(grid=grid, psi=phi0),
-        phi1=LatticeField(grid=grid, psi=phi1),
+        phi0=LatticeField(grid=grid, psi=phi0.astype(complex)),
+        phi1=LatticeField(grid=grid, psi=phi1.astype(complex)),
         energies=(e0, e1),
         bound=(e0 < 0.0, e1 < 0.0),
     )

@@ -43,7 +43,6 @@ class Scenario:
     settings: dict = field(default_factory=dict)
     out_dir: Path = Path(".")
     points: int | None = None
-    seed: int | None = None
     threads: int | None = None
 
     def __post_init__(self):
@@ -103,7 +102,7 @@ def write_meta(path: Path, entries: dict) -> None:
 
 def _base_meta(sc: Scenario, columns) -> dict:
     p = sc.params
-    meta = {
+    return {
         "scenario": sc.name,
         "version": __version__,
         "nu": p.nu,
@@ -112,9 +111,6 @@ def _base_meta(sc: Scenario, columns) -> dict:
         "wannier_convention": p.wannier_convention.value,
         "columns": ";".join(columns),
     }
-    if sc.seed is not None:
-        meta["seed"] = sc.seed
-    return meta
 
 
 def _sweep(fn, values, threads):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import root
 
+from solq import gpe
 from solq.gpe import (
     Boundary,
     Grid1D,
@@ -111,6 +113,7 @@ def test_background_is_cached_and_flat():
     assert np.max(np.abs(bg[inner] ** 2 - 1.0)) < 1e-6
     gp = Grid1D(points=256, length=30.0)
     assert np.all(box_background(gp) == 1.0)
+    assert not box_background(gp).flags.writeable
 
 
 def test_divergence_is_reported_with_step_index():
@@ -293,18 +296,47 @@ def test_fused_evolution_matches_plain_strang_loop():
     assert records[-1][0] == n_steps * dt
 
 
-def test_fused_relaxations_match_plain_strang_loop():
-    # box background on an uncached grid: fixed-mu imaginary time in two stages
-    g = Grid1D(points=256, length=28.0, boundary=Boundary.BOX)
-    pot = g.wall_potential()
-    ref = np.sqrt(np.maximum(0.0, 1.0 - pot / 50.0)).astype(complex)
-    for dt, t_stage in ((0.01, 10.0), (0.1 * g.spacing ** 2, 1.0)):
-        ref, _ = _plain_strang(
-            ref, g, int(round(t_stage / dt)), dt,
-            lambda p: p * np.exp(-dt * (_density(p) + pot)) * math.exp(dt), imaginary=True,
-        )
-    assert _rel_err(box_background.__wrapped__(g), np.abs(ref)) < 1e-10
+def _stationarity(grid, psi):
+    """-1/2 psi'' + (psi^2 + V - 1) psi with the complex spectral psi''."""
+    kinetic = np.fft.ifft(0.5 * grid.k ** 2 * np.fft.fft(psi)).real
+    return kinetic + (psi ** 2 + grid.wall_potential() - 1.0) * psi
 
+
+def test_background_matches_scipy_root():
+    # an uncached grid: the Newton background is stationary and is the root
+    # that MINPACK's hybrid method finds from the same Thomas-Fermi start
+    g = Grid1D(points=256, length=28.0, boundary=Boundary.BOX)
+    bg = box_background.__wrapped__(g)
+    assert np.max(np.abs(_stationarity(g, bg))) < 1e-10
+    tf = np.sqrt(np.maximum(0.0, 1.0 - g.wall_potential() / 50.0))
+    sol = root(lambda p: _stationarity(g, p), tf, method="hybr", options={"xtol": 1e-13})
+    assert sol.success
+    assert np.max(np.abs(bg - sol.x)) < 1e-10
+
+
+@pytest.mark.parametrize("points, length", [(2048, 60.0), (1024, 92.0)])
+def test_background_is_stationary_on_preset_grids(points, length):
+    # the figS1 grid and the figS3 (24-soliton chain) grid
+    g = Grid1D(points=points, length=length, boundary=Boundary.BOX)
+    assert np.max(np.abs(_stationarity(g, box_background(g)))) < 1e-10
+
+
+def test_background_non_convergence_names_the_residual(monkeypatch):
+    monkeypatch.setattr(gpe, "NEWTON_MAX_ITER", 2)
+    g = Grid1D(points=256, length=28.0, boundary=Boundary.BOX)
+    with pytest.raises(RuntimeError, match=r"max residual \d\.\d+e[-+]\d+ after 2 Newton"):
+        box_background.__wrapped__(g)
+
+
+def test_relaxed_fields_are_real(impurity_60xi):
+    f, st = impurity_60xi[2048]
+    for field in (f, st.phi0, st.phi1):
+        assert field.psi.dtype == complex
+        assert np.all(field.psi.imag == 0.0)
+
+
+def test_fused_relaxations_match_plain_strang_loop():
+    # the real-FFT imaginary-time paths against the complex plain loop
     # soliton imprinting: the sign pattern imposed inside every pointwise
     # step and once on the result
     g = Grid1D(points=512, length=40.0, boundary=Boundary.BOX)
