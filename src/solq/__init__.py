@@ -44,24 +44,19 @@ from .couplings import (
     rwa_report,
 )
 from .dynamics import (
-    Basis,
     DensityMatrix4,
     DriveParams,
     SteadyStateResult,
     Trajectory,
-    analytic_undriven,
     basis_state,
     build_liouvillian,
     dicke_transform,
     evolve,
-    liouvillian_apply,
     steady_state,
-    steady_state_closed_form,
 )
 from .entanglement import (
     ConcurrenceResult,
     concurrence,
-    concurrence_closed_forms,
     steady_concurrence_formula,
     undriven_concurrence_formula,
 )
@@ -88,12 +83,11 @@ __all__ = [
     "mode_amplitudes", "resonant_wavevector",
     "RateSet", "RwaReport", "correlation_panel", "coupling_amplitude",
     "rate_set", "rwa_report",
-    "Basis", "DensityMatrix4", "DriveParams", "SteadyStateResult",
-    "Trajectory", "analytic_undriven", "basis_state", "build_liouvillian",
-    "dicke_transform", "evolve", "liouvillian_apply", "steady_state",
-    "steady_state_closed_form",
-    "ConcurrenceResult", "concurrence", "concurrence_closed_forms",
-    "steady_concurrence_formula", "undriven_concurrence_formula",
+    "DensityMatrix4", "DriveParams", "SteadyStateResult", "Trajectory",
+    "basis_state", "build_liouvillian", "dicke_transform", "evolve",
+    "steady_state",
+    "ConcurrenceResult", "concurrence", "steady_concurrence_formula",
+    "undriven_concurrence_formula",
     "Boundary", "Grid1D", "ImpurityStates", "LatticeField", "SolitonTracks",
     "gpe_energy", "imprint_solitons", "multi_soliton_experiment",
     "relax_impurity", "split_step_evolve",

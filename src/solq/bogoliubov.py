@@ -87,9 +87,11 @@ def mode_amplitudes(k: float, x, center: float = 0.0) -> BogoliubovMode:
     u_k(x) = e^{ik(x-c)} sqrt(1/4pi) (1/eps) [(k^2 + 2 eps)(k/2 + i tanh) + k sech^2],
     v_k(x) = e^{-ik(x-c)} sqrt(1/4pi) (1/eps) [(k^2 - 2 eps)(k/2 + i tanh) + k sech^2],
 
-    with tanh/sech taken at x - c. These are envelope approximations: the
-    pointwise normalization |u|^2 - |v|^2 = 1 holds only asymptotically, and
-    that is all the package relies on.
+    with tanh/sech taken at x - c. These are envelope approximations and are
+    not normalized: far from the core |u|^2 - |v|^2 tends to
+    2k^2(k^2 + 4)/(4 pi eps(k)), not 1 (0.045 at k = 0.1, 3.0 at k = 4).
+    Gamma/gamma is a ratio at one k, so the factor cancels there; eta/gamma
+    integrates over k, so it does not (ROADMAP item 1).
     """
     k = float(k)
     if k <= 0.0:

@@ -270,11 +270,14 @@ class RwaReport:
 
 
 def rwa_report(params: ModelParams) -> RwaReport:
-    """Check the hierarchy that justifies the two-level/rotating-wave model.
+    """Report the hierarchy that justifies the two-level/rotating-wave model.
 
     At the resonant mode the interband amplitude should dominate both
-    intraband ones, and gamma should sit far below the qubit gap. A coupling
-    of zero (nu = 0) yields NaN fields and valid = False.
+    intraband ones, and gamma should sit far below the qubit gap. Only
+    `valid` is a verdict, and it means no more than a nonzero coupling and a
+    positive gap: the amplitude ratios g00/g01 and g11/g01 are reported, not
+    gated (a gate waits for a benchmark whose seeded parameters meet it). A
+    coupling of zero (nu = 0) yields NaN fields and valid = False.
     """
     window = pt_spectrum(params).qubit_window
     w0 = qubit_gap(params)

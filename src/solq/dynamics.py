@@ -25,14 +25,15 @@ singular values s1 >= ... >= s4 of sqrt(rho) (sy kron sy) sqrt(rho)^* are the
 square roots of the spin-flip eigenvalues, so C = max(0, s1 - s2 - s3 - s4)
 takes no square root of eigenvalue noise.
 
-Basis conventions. Product (computational) order: ee, eg, ge, gg. Dicke order:
-e, s, a, g with |s>, |a> = (|e1 g2> +- |g1 e2>)/sqrt(2). The transform between
-them is real, symmetric, and involutory.
+One basis. Every matrix is in the product (computational) basis, order ee,
+eg, ge, gg. The collective (Dicke) basis e, s, a, g with
+|s>, |a> = (|e1 g2> +- |g1 e2>)/sqrt(2) is a change of coordinates: the real,
+symmetric, involutory U of `dicke_transform`. `basis_state` and `element`
+read Dicke labels through it.
 """
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -42,12 +43,6 @@ HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-9
 
-
-class Basis(Enum):
-    COMPUTATIONAL = "computational"
-    DICKE = "dicke"
-
-
 PRODUCT_LABELS = ("ee", "eg", "ge", "gg")
 DICKE_LABELS = ("e", "s", "a", "g")
 
@@ -55,21 +50,27 @@ DICKE_LABELS = ("e", "s", "a", "g")
 _U_DICKE = np.eye(4)
 _U_DICKE[1:3, 1:3] = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
+# each label's state vector in the product basis
+_LABEL_VECTORS = dict(zip(PRODUCT_LABELS, np.eye(4))) | dict(zip(DICKE_LABELS, _U_DICKE))
 
-# sy kron sy (real) in the product basis; in the Dicke basis it is U (sy kron sy) U
+# sy kron sy (real)
 _SY = np.array([[0.0, -1j], [1j, 0.0]])
 _SY_SY = np.kron(_SY, _SY).real
-_SPIN_FLIP = {Basis.COMPUTATIONAL: _SY_SY, Basis.DICKE: _U_DICKE @ _SY_SY @ _U_DICKE}
 
 
-def _validate_stack(m: np.ndarray, basis: Basis) -> np.ndarray:
+def _validate_stack(m: np.ndarray) -> np.ndarray:
     """Check an (n, 4, 4) stack and return each matrix's concurrence.
 
-    The first bad matrix raises its own message. With rho = V diag(w) V^H,
+    The first bad matrix raises its own message; non-finite entries are
+    caught before any decomposition. With rho = V diag(w) V^H,
     sqrt(rho) Y sqrt(rho)^* = V D (V^H Y V^*) D V^T for D = diag(sqrt(w)) and
-    Y = sy kron sy in the stack's basis, so its singular values are those of
-    D (V^H Y V^*) D: one batched `svd` of 4x4 matrices.
+    Y = sy kron sy, so its singular values are those of D (V^H Y V^*) D: one
+    batched `svd` of 4x4 matrices.
     """
+    nonfinite = np.argwhere(~np.isfinite(m))
+    if nonfinite.size:
+        i, r, c = nonfinite[0]
+        raise ValueError(f"matrix entry ({r}, {c}) is {m[i, r, c]}, not finite")
     herm = np.max(np.abs(m - m.conj().swapaxes(1, 2)), axis=(1, 2))
     tr = np.trace(m, axis1=1, axis2=2).real
     w, v = np.linalg.eigh(0.5 * (m + m.conj().swapaxes(1, 2)))
@@ -84,20 +85,19 @@ def _validate_stack(m: np.ndarray, basis: Basis) -> np.ndarray:
             raise ValueError(f"trace is {tr[i]!r}, not 1")
         raise ValueError(f"negative eigenvalue {low[i]:.2e}")
     root = np.sqrt(np.maximum(w, 0.0))
-    flip = v.conj().swapaxes(1, 2) @ (_SPIN_FLIP[basis] @ v.conj())
+    flip = v.conj().swapaxes(1, 2) @ (_SY_SY @ v.conj())
     s = np.linalg.svd(root[:, :, None] * flip * root[:, None, :], compute_uv=False)
     return np.maximum(s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3], 0.0)
 
 
 @dataclass(frozen=True)
 class DensityMatrix4:
-    """A validated 4x4 density matrix tagged with its basis.
+    """A validated 4x4 density matrix in the product basis.
 
     `concurrence` is the state's Wootters concurrence, set at validation.
     """
 
     matrix: np.ndarray
-    basis: Basis = Basis.COMPUTATIONAL
     concurrence: float = field(init=False, compare=False)
 
     def __post_init__(self):
@@ -105,58 +105,41 @@ class DensityMatrix4:
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
-        conc = _validate_stack(m[None], self.basis)
+        conc = _validate_stack(m[None])
         object.__setattr__(self, "concurrence", float(conc[0]))
 
     @classmethod
-    def _known(cls, m: np.ndarray, basis: Basis, concurrence: float):
-        """A state whose matrix is already validated and concurrence known."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "matrix", m)
-        object.__setattr__(state, "basis", basis)
-        object.__setattr__(state, "concurrence", concurrence)
-        return state
-
-    @classmethod
-    def _stack(cls, mats: np.ndarray, basis: Basis) -> tuple:
+    def _stack(cls, mats: np.ndarray) -> tuple:
         """One state per matrix of an (n, 4, 4) stack, validated as a batch."""
-        conc = _validate_stack(mats, basis).tolist()
-        return tuple(cls._known(m, basis, c) for m, c in zip(mats, conc))
+        states = []
+        for m, c in zip(mats, _validate_stack(mats).tolist()):
+            state = object.__new__(cls)
+            object.__setattr__(state, "matrix", m)
+            object.__setattr__(state, "concurrence", c)
+            states.append(state)
+        return tuple(states)
 
     def element(self, row_label: str, col_label: str) -> complex:
-        labels = PRODUCT_LABELS if self.basis is Basis.COMPUTATIONAL else DICKE_LABELS
-        return complex(self.matrix[labels.index(row_label), labels.index(col_label)])
+        """<row| rho |col> for product (ee, ...) or Dicke (e, s, a, g) labels."""
+        return complex(_label_vector(row_label) @ self.matrix @ _label_vector(col_label))
+
+
+def _label_vector(label: str) -> np.ndarray:
+    if label not in _LABEL_VECTORS:
+        raise ValueError(f"unknown state label {label!r}")
+    return _LABEL_VECTORS[label]
 
 
 def basis_state(label: str) -> DensityMatrix4:
     """Pure-state density matrix for a product or Dicke basis label."""
-    label = label.lower()
-    if label in PRODUCT_LABELS:
-        idx, basis = PRODUCT_LABELS.index(label), Basis.COMPUTATIONAL
-    elif label in DICKE_LABELS:
-        idx, basis = DICKE_LABELS.index(label), Basis.DICKE
-    else:
-        raise ValueError(f"unknown state label {label!r}")
-    m = np.zeros((4, 4), dtype=complex)
-    m[idx, idx] = 1.0
-    return DensityMatrix4(matrix=m, basis=basis)
+    v = _label_vector(label.lower())
+    return DensityMatrix4(matrix=np.outer(v, v))
 
 
-def dicke_transform(state: DensityMatrix4) -> DensityMatrix4:
-    """Flip a state between the product and Dicke bases (involutory).
-
-    The same state in another basis: it keeps its concurrence and is not
-    decomposed again.
-    """
-    rho = _U_DICKE @ state.matrix @ _U_DICKE
-    other = Basis.DICKE if state.basis is Basis.COMPUTATIONAL else Basis.COMPUTATIONAL
-    return DensityMatrix4._known(rho, other, state.concurrence)
-
-
-def _as_product_matrix(state: DensityMatrix4) -> np.ndarray:
-    if state.basis is Basis.COMPUTATIONAL:
-        return state.matrix
-    return _U_DICKE @ state.matrix @ _U_DICKE
+def dicke_transform(m: np.ndarray) -> np.ndarray:
+    """U m U for a 4x4 matrix or an (n, 4, 4) stack: product coordinates to
+    Dicke coordinates, and back (U is real, symmetric and involutory)."""
+    return _U_DICKE @ np.asarray(m) @ _U_DICKE
 
 
 @dataclass(frozen=True)
@@ -164,7 +147,7 @@ class DriveParams:
     """Continuous drive: Rabi frequency (units of gamma), optional detuning.
 
     omega_rabi_2 = None means symmetric pumping (the same amplitude on both
-    qubits), which is the only case the closed-form steady state covers.
+    qubits), which is the only case the closed-form steady concurrence covers.
     """
 
     omega_rabi: float = 0.0
@@ -206,20 +189,6 @@ def _hamiltonian(rates: RateSet, drive: DriveParams | None) -> np.ndarray:
         if drive.detuning != 0.0:
             h = h + drive.detuning * (_SP1 @ _SM1 + _SP2 @ _SM2)
     return h
-
-
-def liouvillian_apply(
-    state: DensityMatrix4, rates: RateSet, drive: DriveParams | None = None
-) -> np.ndarray:
-    """Right-hand side drho/dt for the given state, in the state's basis.
-
-    Returned in units of gamma (so the diagonal decay of |e><e| is -2).
-    """
-    rho = _as_product_matrix(state)
-    out = (build_liouvillian(rates, drive) @ rho.ravel()).reshape(4, 4)
-    if state.basis is Basis.DICKE:
-        out = _U_DICKE @ out @ _U_DICKE
-    return out
 
 
 def build_liouvillian(rates: RateSet, drive: DriveParams | None = None) -> np.ndarray:
@@ -286,64 +255,12 @@ def evolve(
     steps, which = np.unique(dt, return_inverse=True)
     incs = _expm1(build_liouvillian(rates, drive) * steps[:, None, None])
     vec = np.empty((len(t_grid), 16), dtype=complex)
-    vec[0] = _as_product_matrix(state0).ravel()
+    vec[0] = state0.matrix.ravel()
     for n, k in enumerate(which):
         vec[n + 1] = vec[n] + incs[k] @ vec[n]
     rho = vec.reshape(-1, 4, 4)
     rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
-    if state0.basis is Basis.DICKE:
-        rho = _U_DICKE @ rho @ _U_DICKE
-    return Trajectory(times=t_grid, states=DensityMatrix4._stack(rho, state0.basis))
-
-
-def _exprel(x: np.ndarray) -> np.ndarray:
-    """(exp(x) - 1)/x elementwise, with its limit 1 at x = 0."""
-    x = np.asarray(x, dtype=float)
-    zero = x == 0.0
-    safe = np.where(zero, 1.0, x)
-    return np.where(zero, 1.0, np.expm1(safe) / safe)
-
-
-def analytic_undriven(init: dict, rates: RateSet, times) -> Trajectory:
-    """Closed-form decay of the Dicke populations and the s-a coherence.
-
-    init supplies rho_ee, rho_ss, rho_aa (real) and rho_sa (complex); the
-    ground population is fixed by the trace. Valid for states with no other
-    nonzero elements and no drive. The superradiant channel feeds |s> at rate
-    gamma + Gamma and |a> at gamma - Gamma; the degenerate points
-    Gamma = +-gamma take the x -> 0 limit of (e^x - 1)/x.
-    """
-    _check_rates(rates)
-    allowed = {"rho_ee", "rho_ss", "rho_aa", "rho_sa"}
-    unknown = set(init) - allowed
-    if unknown:
-        raise ValueError(f"unsupported initial elements: {sorted(unknown)}")
-    ee0 = float(init.get("rho_ee", 0.0))
-    ss0 = float(init.get("rho_ss", 0.0))
-    aa0 = float(init.get("rho_aa", 0.0))
-    sa0 = complex(init.get("rho_sa", 0.0))
-    gg0 = 1.0 - ee0 - ss0 - aa0
-    if gg0 < -1e-12:
-        raise ValueError("initial populations exceed 1")
-
-    big = rates.Gamma_over_gamma
-    eta = rates.eta_over_gamma
-    times = np.asarray(times, dtype=float)
-    up = 1.0 + big   # superradiant rate, units of gamma
-    dn = 1.0 - big   # subradiant rate
-
-    ee = ee0 * np.exp(-2.0 * times)
-    feed_ss = up * times * _exprel(dn * times) * np.exp(-2.0 * times) * ee0
-    feed_aa = dn * times * _exprel(up * times) * np.exp(-2.0 * times) * ee0
-    ss = ss0 * np.exp(-up * times) + feed_ss
-    aa = aa0 * np.exp(-dn * times) + feed_aa
-    sa = sa0 * np.exp(-(1.0 + 2.0j * eta) * times)
-    gg = 1.0 - ee - ss - aa
-
-    m = np.zeros((len(times), 4, 4), dtype=complex)
-    m[:, 0, 0], m[:, 1, 1], m[:, 2, 2], m[:, 3, 3] = ee, ss, aa, gg
-    m[:, 1, 2], m[:, 2, 1] = sa, np.conj(sa)
-    return Trajectory(times=times, states=DensityMatrix4._stack(m, Basis.DICKE))
+    return Trajectory(times=t_grid, states=DensityMatrix4._stack(rho))
 
 
 @dataclass(frozen=True)
@@ -372,39 +289,5 @@ def steady_state(rates: RateSet, drive: DriveParams | None = None) -> SteadyStat
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     residual = float(np.max(np.abs((lop @ rho.ravel()).reshape(4, 4))))
-    state = DensityMatrix4(matrix=rho, basis=Basis.COMPUTATIONAL)
+    state = DensityMatrix4(matrix=rho)
     return SteadyStateResult(state=state, residual=residual, unique=unique)
-
-
-def steady_state_closed_form(rates: RateSet, drive: DriveParams) -> DensityMatrix4:
-    """Symmetrically driven steady state in closed form (Dicke basis).
-
-    Valid for symmetric resonant pumping only. The s-g coherence carries
-    gamma (gamma + Gamma - 2 i eta) + Omega^2 in its numerator; the sign of
-    the eta term matters and is fixed by the generator's null space (the
-    test suite pins it against the SVD route).
-    """
-    _check_rates(rates)
-    if not drive.symmetric or drive.detuning != 0.0:
-        raise ValueError("closed form requires symmetric resonant pumping")
-    big = rates.Gamma_over_gamma
-    eta = rates.eta_over_gamma
-    om = drive.omega_rabi
-    if om == 0.0:
-        return basis_state("g")
-
-    den = (1.0 + big) ** 2 + 4.0 * (eta * eta + om * om) + 4.0 * om ** 4
-    ee = om ** 4 / den
-    aa = om ** 4 / den
-    ss = om ** 2 * (2.0 + om ** 2) / den
-    gg = ((1.0 + big) ** 2 + 2.0 * (2.0 * eta * eta + om ** 2) + om ** 4) / den
-    ge = -(1.0 + big + 2.0j * eta) * om ** 2 / den
-    es = 1j * math.sqrt(2.0) * om ** 3 / den
-    sg = 1j * math.sqrt(2.0) * om * ((1.0 + big - 2.0j * eta) + om ** 2) / den
-
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = ee, ss, aa, gg
-    m[3, 0], m[0, 3] = ge, np.conj(ge)
-    m[0, 1], m[1, 0] = es, np.conj(es)
-    m[1, 3], m[3, 1] = sg, np.conj(sg)
-    return DensityMatrix4(matrix=m, basis=Basis.DICKE)

@@ -394,14 +394,14 @@ def _find_minima(density, grid):
     window = grid.wall_center() - 2.41 * WALL_WIDTH  # background > 0.8 inside
     bg_sq = box_background(grid) ** 2
     d = np.divide(density, bg_sq, out=np.ones_like(density), where=bg_sq > 0.5)
-    inner = np.where(np.abs(x) < window)[0]
-    found = []
-    for i in inner:
-        if 0 < i < len(d) - 1 and d[i] <= d[i - 1] and d[i] < d[i + 1] and d[i] < 0.5:
-            denom = d[i + 1] - 2.0 * d[i] + d[i - 1]
-            shift = 0.0 if denom <= 0 else 0.5 * (d[i - 1] - d[i + 1]) / denom
-            found.append(x[i] + shift * grid.spacing)
-    return found
+    i = np.flatnonzero(np.abs(x) < window)
+    i = i[(i > 0) & (i < len(d) - 1)]
+    lo, mid, hi = d[i - 1], d[i], d[i + 1]
+    keep = (mid <= lo) & (mid < hi) & (mid < 0.5)
+    i, lo, mid, hi = i[keep], lo[keep], mid[keep], hi[keep]
+    denom = hi - 2.0 * mid + lo
+    shift = np.divide(0.5 * (lo - hi), denom, out=np.zeros_like(denom), where=denom > 0)
+    return x[i] + shift * grid.spacing
 
 
 def multi_soliton_experiment(

@@ -191,19 +191,10 @@ def _build_fig3b(sc: Scenario) -> list[Path]:
     r = rate_set(d, sc.params)
     traj = evolve(basis_state("eg"), r, t_grid)
     header = ["t_gamma", "rho_ee", "rho_ss", "rho_aa", "rho_gg", "concurrence"]
-    rows = []
-    for t, state in zip(t_grid, traj.states):
-        dk = dicke_transform(state)
-        rows.append(
-            (
-                t,
-                dk.element("e", "e").real,
-                dk.element("s", "s").real,
-                dk.element("a", "a").real,
-                dk.element("g", "g").real,
-                concurrence(state).value,
-            )
-        )
+    dicke = dicke_transform(np.array([state.matrix for state in traj.states]))
+    pops = np.diagonal(dicke, axis1=1, axis2=2).real
+    conc = [concurrence(state).value for state in traj.states]
+    rows = [(t, *p, c) for t, p, c in zip(t_grid, pops.tolist(), conc)]
     return _emit(sc, header, rows, {"initial_state": "eg", "d": d, "t_final": t_final})
 
 
@@ -343,8 +334,10 @@ def validate_report(params: ModelParams, d_check: float = 2.5) -> tuple[dict, bo
     """Aggregate parameter checks; returns (report dict, all-pass flag).
 
     Pass/fail keys: qubit_window (exactly two bound orbitals), rwa_valid
-    (resonant mode well separated from the gap edge scales), rates_bounded
-    (|Gamma| <= gamma at the probe separation).
+    (a nonzero coupling, a positive gap and gamma/omega0 < 1), rates_bounded
+    (|Gamma| <= gamma at the probe separation). The amplitude ratios
+    g00_over_g01 and g11_over_g01 are printed but not gated; gating them waits
+    for the benchmark's seeded parameter box to meet the hierarchy.
     """
     ladder = pt_spectrum(params)
     rep = rwa_report(params)

@@ -28,17 +28,8 @@ import numpy as np
 from solq.bogoliubov import mode_amplitudes, resonant_wavevector
 from solq.boundstates import pt_spectrum, wannier_pair
 from solq.couplings import RateSet, rate_set, rwa_report
-from solq.dynamics import (
-    Basis,
-    DensityMatrix4,
-    DriveParams,
-    analytic_undriven,
-    basis_state,
-    dicke_transform,
-    evolve,
-    steady_state,
-    steady_state_closed_form,
-)
+from oracles import analytic_undriven, dicke_matrix, steady_state_closed_form
+from solq.dynamics import DensityMatrix4, DriveParams, basis_state, evolve, steady_state
 from solq.entanglement import (
     concurrence,
     steady_concurrence_formula,
@@ -67,14 +58,6 @@ def decay_class_init(rng):
     mag = 0.9 * np.sqrt(w[1] * w[2])
     phase = np.exp(2j * np.pi * rng.uniform())
     return {"rho_ee": w[0], "rho_ss": w[1], "rho_aa": w[2], "rho_sa": mag * phase}
-
-
-def dicke_matrix(init):
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[1, 1], m[2, 2] = init["rho_ee"], init["rho_ss"], init["rho_aa"]
-    m[3, 3] = 1.0 - m[0, 0].real - m[1, 1].real - m[2, 2].real
-    m[1, 2], m[2, 1] = init["rho_sa"], np.conj(init["rho_sa"])
-    return DensityMatrix4(m, basis=Basis.DICKE)
 
 
 def parabolic_peak(xs, ys):
@@ -147,10 +130,10 @@ def test_02_evolve_matches_decay_closed_forms():
     worst = 0.0
     for _ in range(20):
         init = decay_class_init(rng)
-        evolved = evolve(dicke_transform(dicke_matrix(init)), rates, times)
+        evolved = evolve(DensityMatrix4(dicke_matrix(init)), rates, times)
         reference = analytic_undriven(init, rates, times)
         for got, want in zip(evolved, reference):
-            diff = np.abs(dicke_transform(got).matrix - want.matrix)
+            diff = np.abs(got.matrix - want)
             worst = max(worst, float(diff.max()))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8
@@ -215,7 +198,7 @@ def test_05_steady_state_triple_agreement():
             drive = DriveParams(omega_rabi=om)
             svd = steady_state(rates, drive)
             closed = steady_state_closed_form(rates, drive)
-            diff = np.abs(dicke_transform(svd.state).matrix - closed.matrix)
+            diff = np.abs(svd.state.matrix - closed)
             worst_elem = max(worst_elem, float(diff.max()))
             dev = abs(concurrence(svd.state).value
                       - steady_concurrence_formula(rates, drive))

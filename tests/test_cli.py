@@ -275,6 +275,17 @@ def test_decay_dataset(tmp_path):
     assert np.max(np.abs(rows[:, 1:5].sum(axis=1) - 1.0)) < 1e-9
 
 
+def test_long_decay_formula_columns_are_finite(tmp_path):
+    # sinh(Gamma t) overflows long before t = 3000; the formula never forms it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_final=3000\n")
+    code = main(["decay", "--points", "4", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 0
+    header, rows = read_csv(tmp_path / "fig3a.csv")
+    assert header[3:] == ["formula_d_1xi", "formula_d_2p5xi"]
+    assert np.all(np.isfinite(rows)) and np.all(rows[:, 3:] <= 1.0)
+
+
 def test_driven_dataset(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("t_final=2.0\n")

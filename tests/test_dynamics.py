@@ -3,20 +3,24 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import exprel
 
+from oracles import (
+    U_DICKE,
+    _exprel,
+    analytic_undriven,
+    dicke_matrix,
+    liouvillian_apply,
+    steady_state_closed_form,
+)
 from solq import dynamics
 from solq.couplings import RateSet
 from solq.dynamics import (
-    Basis,
     DensityMatrix4,
     DriveParams,
-    analytic_undriven,
     basis_state,
     build_liouvillian,
     dicke_transform,
     evolve,
-    liouvillian_apply,
     steady_state,
-    steady_state_closed_form,
 )
 from solq.entanglement import concurrence
 
@@ -28,11 +32,11 @@ def make_rates(big, eta, d=2.5):
                    d=d, k0=0.1129586390118519)
 
 
-def random_density(rng, basis=Basis.COMPUTATIONAL):
+def random_density(rng):
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
-    return DensityMatrix4(rho, basis=basis)
+    return DensityMatrix4(rho)
 
 
 def random_decay_class_init(rng):
@@ -43,17 +47,6 @@ def random_decay_class_init(rng):
     mag = 0.9 * np.sqrt(ss * aa)
     phase = np.exp(2j * np.pi * rng.uniform())
     return {"rho_ee": ee, "rho_ss": ss, "rho_aa": aa, "rho_sa": mag * phase}
-
-
-def dicke_matrix_from_init(init):
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = init.get("rho_ee", 0.0)
-    m[1, 1] = init.get("rho_ss", 0.0)
-    m[2, 2] = init.get("rho_aa", 0.0)
-    m[3, 3] = 1.0 - m[0, 0].real - m[1, 1].real - m[2, 2].real
-    sa = init.get("rho_sa", 0.0)
-    m[1, 2], m[2, 1] = sa, np.conj(sa)
-    return DensityMatrix4(m, basis=Basis.DICKE)
 
 
 # site lowering operators in the product basis ee, eg, ge, gg
@@ -100,18 +93,23 @@ GENERATOR_CASES = (
 
 NOT_HERMITIAN = np.eye(4, dtype=complex) / 4.0
 NOT_HERMITIAN[0, 1] = 0.3
+INF_COHERENCE = np.eye(4, dtype=complex) / 4.0
+INF_COHERENCE[1, 2] = INF_COHERENCE[2, 1] = np.inf
 BAD_MATRICES = (
     NOT_HERMITIAN,  # not Hermitian
     np.eye(4, dtype=complex) / 2.0,  # trace 2
     np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex),  # negative eigenvalue
+    np.diag([np.nan, 1.0, 0.0, 0.0]).astype(complex),  # a NaN population
+    np.full((4, 4), np.nan, dtype=complex),  # all NaN
+    INF_COHERENCE,  # an infinite coherence
 )
 
 
 def test_density_matrix_validation():
     rng = np.random.default_rng(5)
     good = np.array([random_density(rng).matrix for _ in range(5)])
-    states = DensityMatrix4._stack(good, Basis.DICKE)
-    assert len(states) == 5 and all(st.basis is Basis.DICKE for st in states)
+    states = DensityMatrix4._stack(good)
+    assert len(states) == 5
     assert all(np.array_equal(st.matrix, m) for st, m in zip(states, good))
     for bad in BAD_MATRICES:
         with pytest.raises(ValueError) as alone:
@@ -120,8 +118,14 @@ def test_density_matrix_validation():
         stack = good.copy()
         stack[3] = bad
         with pytest.raises(ValueError) as batched:
-            DensityMatrix4._stack(stack, Basis.COMPUTATIONAL)
+            DensityMatrix4._stack(stack)
         assert str(batched.value) == str(alone.value)
+        assert "\n" not in str(alone.value)
+    # a non-finite entry is named, not left to the eigensolver
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) is \(?nan"):
+        DensityMatrix4(BAD_MATRICES[3])
+    with pytest.raises(ValueError, match=r"entry \(1, 2\) is \(?inf"):
+        DensityMatrix4(INF_COHERENCE)
     with pytest.raises(ValueError):
         DensityMatrix4(np.eye(3, dtype=complex) / 3.0)
 
@@ -136,9 +140,9 @@ def test_trajectories_are_validated_as_one_batch(monkeypatch):
     check = dynamics._validate_stack
     svd = np.linalg.svd
 
-    def spy(m, basis):
+    def spy(m):
         shapes.append(m.shape)
-        return check(m, basis)
+        return check(m)
 
     def counting_svd(a, *args, **kwargs):
         svds.append(a.shape)
@@ -148,58 +152,66 @@ def test_trajectories_are_validated_as_one_batch(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     times = np.linspace(0.0, 1.0, 7)
     traj = evolve(basis_state("eg"), make_rates(0.3, 0.1), times)
-    undriven = analytic_undriven({"rho_ee": 1.0}, make_rates(0.3, 0.1), times)
+    undriven = DensityMatrix4._stack(
+        analytic_undriven({"rho_ee": 1.0}, make_rates(0.3, 0.1), times))
     assert shapes == [(1, 4, 4), (7, 4, 4), (7, 4, 4)]
-    # one concurrence svd per validated batch: per state, evolve, analytic_undriven
+    # one concurrence svd per validated batch: per state, evolve, the closed form
     assert svds == shapes
     # every snapshot carries its concurrence; reading it decomposes nothing
     for name in ("eigvals", "eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, _refuse)
-    for st in traj.states + undriven.states:
+    for st in traj.states + undriven:
         c = concurrence(st).value
         assert c == st.concurrence and 0.0 <= c <= 1.0
-        assert dicke_transform(st).concurrence == c
     monkeypatch.undo()
     # a coherence outside the positivity cone fails on the first snapshot
     init = {"rho_ss": 0.2, "rho_aa": 0.2, "rho_sa": 0.5}
     with pytest.raises(ValueError) as alone:
-        dicke_matrix_from_init(init)
+        DensityMatrix4(dicke_matrix(init))
     with pytest.raises(ValueError) as batched:
-        analytic_undriven(init, make_rates(0.3, 0.1), times)
+        DensityMatrix4._stack(analytic_undriven(init, make_rates(0.3, 0.1), times))
     assert str(batched.value) == str(alone.value)
 
 
 def test_exprel_matches_scipy():
     x = np.concatenate([[0.0, 1e-12, -1e-12, 1e-6, -1e-6], np.linspace(-8.0, 8.0, 4001)])
-    ours = dynamics._exprel(x)
+    ours = _exprel(x)
     assert ours[0] == 1.0
     assert np.max(np.abs(ours / exprel(x) - 1.0)) < 1e-14
 
 
 def test_basis_state_labels():
-    assert basis_state("eg").basis is Basis.COMPUTATIONAL
-    assert basis_state("s").basis is Basis.DICKE
+    assert np.array_equal(basis_state("eg").matrix, np.diag([0, 1, 0, 0]))
+    # a Dicke label is the rotated product-basis projector
+    s = U_DICKE[:, 1]
+    assert np.max(np.abs(basis_state("s").matrix - np.outer(s, s))) < 1e-15
+    assert abs(basis_state("S").element("s", "s") - 1.0) < 1e-15
+    assert abs(basis_state("a").element("s", "s")) < 1e-15
     assert basis_state("GG").element("gg", "gg") == 1.0
+    assert basis_state("g").element("gg", "gg") == 1.0
     with pytest.raises(ValueError):
         basis_state("xy")
 
 
 def test_dicke_transform_is_involutory():
     rng = np.random.default_rng(21)
-    for _ in range(20):
-        dm = random_density(rng)
-        back = dicke_transform(dicke_transform(dm))
-        assert back.basis is dm.basis
-        assert np.max(np.abs(back.matrix - dm.matrix)) < 1e-14
+    stack = np.array([random_density(rng).matrix for _ in range(20)])
+    back = dicke_transform(dicke_transform(stack))
+    assert np.max(np.abs(back - stack)) < 1e-14
+    for m, rotated in zip(stack, dicke_transform(stack)):
+        assert np.max(np.abs(dicke_transform(m) - rotated)) < 1e-15
+        assert np.max(np.abs(rotated - U_DICKE @ m @ U_DICKE)) < 1e-15
 
 
 def test_one_excited_qubit_in_dicke_basis():
     # |eg> = (|s> + |a>)/sqrt(2)
-    dm = dicke_transform(basis_state("eg"))
+    dm = basis_state("eg")
     assert abs(dm.element("s", "s") - 0.5) < 1e-15
     assert abs(dm.element("a", "a") - 0.5) < 1e-15
     assert abs(dm.element("s", "a") - 0.5) < 1e-15
     assert abs(dm.element("e", "e")) < 1e-15
+    dicke = dicke_transform(dm.matrix)
+    assert abs(dicke[1, 2] - 0.5) < 1e-15 and abs(dicke[0, 0]) < 1e-15
 
 
 def test_generator_is_trace_free_and_hermiticity_preserving():
@@ -208,7 +220,7 @@ def test_generator_is_trace_free_and_hermiticity_preserving():
     drive = DriveParams(omega_rabi=0.4)
     for _ in range(200):
         dm = random_density(rng)
-        out = liouvillian_apply(dm, rates, drive)
+        out = liouvillian_apply(dm.matrix, rates, drive)
         assert abs(np.trace(out).real) < 1e-14
         assert abs(np.trace(out).imag) < 1e-14
         assert np.max(np.abs(out - out.conj().T)) < 1e-14
@@ -228,12 +240,9 @@ def test_liouvillian_matrix_matches_apply():
     drive = DriveParams(omega_rabi=0.7, detuning=0.2)
     for _ in range(20):
         dm = random_density(rng)
-        direct = liouvillian_apply(dm, rates, drive)
+        direct = liouvillian_apply(dm.matrix, rates, drive)
         oracle = sandwich_apply(dm.matrix, rates, drive)
         assert np.max(np.abs(direct - oracle)) < 1e-14
-        in_dicke = liouvillian_apply(dicke_transform(dm), rates, drive)
-        u = dynamics._U_DICKE
-        assert np.max(np.abs(in_dicke - u @ oracle @ u)) < 1e-14
 
 
 def test_evolve_matches_closed_form_decay():
@@ -242,12 +251,11 @@ def test_evolve_matches_closed_form_decay():
     for big, eta in ((0.3, -0.2), (-0.8, 0.5), (1.0, 0.1)):
         rates = make_rates(big, eta)
         init = random_decay_class_init(rng)
-        state0 = dicke_matrix_from_init(init)
-        evolved = evolve(dicke_transform(state0), rates, times)
+        evolved = evolve(DensityMatrix4(dicke_matrix(init)), rates, times)
         reference = analytic_undriven(init, rates, times)
         worst = 0.0
         for got, want in zip(evolved, reference):
-            diff = np.abs(dicke_transform(got).matrix - want.matrix)
+            diff = np.abs(got.matrix - want)
             worst = max(worst, float(diff.max()))
         assert worst < 1e-8
 
@@ -258,10 +266,10 @@ def test_evolve_matches_closed_form_decay_to_roundoff():
     for big, eta in ((0.3, -0.2), (-0.8, 0.5), (1.0, 0.1)):
         rates = make_rates(big, eta)
         init = random_decay_class_init(rng)
-        evolved = evolve(dicke_transform(dicke_matrix_from_init(init)), rates, times)
+        evolved = evolve(DensityMatrix4(dicke_matrix(init)), rates, times)
         reference = analytic_undriven(init, rates, times)
         for got, want in zip(evolved, reference):
-            assert np.max(np.abs(dicke_transform(got).matrix - want.matrix)) < 1e-12
+            assert np.max(np.abs(got.matrix - want)) < 1e-12
 
 
 def test_evolve_matches_exponential_on_irregular_grid():
@@ -301,8 +309,7 @@ def test_decay_is_continuous_at_matched_rates():
     init = {"rho_ee": 1.0}
     at = analytic_undriven(init, make_rates(1.0, 0.0), times)
     near = analytic_undriven(init, make_rates(1.0 - 1e-9, 0.0), times)
-    for a, b in zip(at, near):
-        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-8
+    assert np.max(np.abs(at - near)) < 1e-8
 
 
 def test_analytic_undriven_rejects_unknown_elements():
@@ -319,14 +326,6 @@ def test_trace_preserved_through_integration():
                   drive=DriveParams(omega_rabi=0.5))
     for st in traj.states:
         assert abs(np.trace(st.matrix).real - 1.0) < 1e-10
-
-
-def test_evolve_keeps_initial_basis():
-    rates = make_rates(0.2, 0.0)
-    traj = evolve(basis_state("s"), rates, [0.0, 1.0])
-    assert all(st.basis is Basis.DICKE for st in traj.states)
-    traj = evolve(basis_state("eg"), rates, [0.0, 1.0])
-    assert all(st.basis is Basis.COMPUTATIONAL for st in traj.states)
 
 
 def test_evolve_validates_time_grid():
@@ -362,7 +361,7 @@ def test_driven_steady_state_closed_form_matches_svd():
         drive = DriveParams(omega_rabi=om)
         svd = steady_state(rates, drive)
         closed = steady_state_closed_form(rates, drive)
-        diff = np.abs(dicke_transform(svd.state).matrix - closed.matrix)
+        diff = np.abs(svd.state.matrix - closed)
         assert diff.max() < 1e-10
 
 
@@ -378,7 +377,7 @@ def test_closed_form_rejects_asymmetric_or_detuned_drive():
 
 def test_zero_drive_closed_form_is_ground():
     closed = steady_state_closed_form(make_rates(0.3, 0.1), DriveParams())
-    assert abs(closed.element("g", "g").real - 1.0) < 1e-15
+    assert abs(closed[3, 3].real - 1.0) < 1e-15
 
 
 def test_asymmetric_drive_still_integrates():

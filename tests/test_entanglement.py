@@ -3,20 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import concurrence_closed_forms
 from solq.couplings import RateSet
-from solq.dynamics import (
-    Basis,
-    DensityMatrix4,
-    DriveParams,
-    basis_state,
-    dicke_transform,
-    evolve,
-    steady_state,
-)
+from solq.dynamics import DriveParams, basis_state, evolve, steady_state
 from solq.entanglement import (
-    ConcurrenceBranch,
     concurrence,
-    concurrence_closed_forms,
     steady_concurrence_formula,
     undriven_concurrence_formula,
 )
@@ -37,9 +28,6 @@ def bell_phi_plus():
 
 SY = np.array([[0.0, -1j], [1j, 0.0]])
 SY_SY = np.kron(SY, SY)
-# product order ee, eg, ge, gg to Dicke order e, s, a, g; its own inverse
-U_DICKE = np.eye(4)
-U_DICKE[1:3, 1:3] = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
 def wootters_eigvals(rho):
@@ -92,9 +80,6 @@ def test_concurrence_matches_eigvals_oracle():
     rng = np.random.default_rng(53)
     for rho, factor in random_states(rng, 40):
         got = concurrence(rho).value
-        # the same state tagged in the Dicke basis
-        dicke = DensityMatrix4(U_DICKE @ rho @ U_DICKE, basis=Basis.DICKE)
-        assert abs(concurrence(dicke).value - got) < 1e-14
         if factor is None:
             assert abs(got - wootters_eigvals(rho)) < 1e-9
         else:
@@ -125,7 +110,6 @@ def test_exact_fixtures():
 def test_bell_state_is_maximally_entangled():
     res = concurrence(bell_phi_plus())
     assert abs(res.value - 1.0) < 1e-14
-    assert res.branch is ConcurrenceBranch.GENERAL
 
 
 def test_product_state_is_separable():
@@ -173,15 +157,15 @@ def test_closed_forms_match_general_on_x_states():
         general = concurrence(m)
         assert abs(closed.value - general.value) < 1e-10
         if closed.value > 0.0:
-            assert closed.branch in (ConcurrenceBranch.X_OUTER,
-                                     ConcurrenceBranch.X_INNER)
+            # the named branch is the one that sets the value
+            assert closed.value == getattr(closed, "c_" + closed.branch)
 
 
 def test_non_x_matrix_is_rejected():
     rates = make_rates(0.3, -0.2)
     driven = steady_state(rates, DriveParams(omega_rabi=0.4)).state
     with pytest.raises(ValueError):
-        concurrence_closed_forms(driven)
+        concurrence_closed_forms(driven.matrix)
     # the general route still handles it
     assert concurrence(driven).value >= 0.0
 
@@ -204,6 +188,21 @@ def test_decay_formula_envelope():
         rates = make_rates(rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0))
         c = undriven_concurrence_formula(rates, times)
         assert np.all(c <= envelope + 1e-12)
+
+
+def test_decay_formula_is_finite_at_long_times():
+    # sinh(Gamma t) alone overflows from |Gamma| t ~ 710; the formula never
+    # forms it, and at Gamma = +-gamma it settles on the subradiant 1/2
+    short = np.linspace(0.0, 8.0, 161)
+    long = np.array([720.0, 760.0, 3000.0, 1e4, 1e6])
+    for big in (-1.0, -0.5, 0.0, 0.3, 0.5, 1.0):
+        rates = make_rates(big, 0.37)
+        direct = np.exp(-short) * np.sqrt(np.sinh(big * short) ** 2
+                                          + np.sin(0.74 * short) ** 2)
+        assert np.max(np.abs(undriven_concurrence_formula(rates, short) - direct)) < 1e-15
+        c = undriven_concurrence_formula(rates, long)
+        assert np.all(np.isfinite(c)) and np.all(c <= 1.0)
+        assert abs(c[-1] - (0.5 if abs(big) == 1.0 else 0.0)) < 1e-15
 
 
 def test_steady_formula_matches_wootters_of_steady_state():

@@ -274,6 +274,36 @@ def test_imprint_matches_the_after_step_constraint():
     assert np.max(np.abs(np.subtract(cores, cores_after))) < 3e-5
 
 
+def _minima_loop(density, grid):
+    """The pointwise scan `_find_minima` vectorizes, kept as its reference."""
+    x = grid.x
+    window = grid.wall_center() - 2.41 * gpe.WALL_WIDTH
+    bg_sq = box_background(grid) ** 2
+    d = np.divide(density, bg_sq, out=np.ones_like(density), where=bg_sq > 0.5)
+    found = []
+    for i in np.where(np.abs(x) < window)[0]:
+        if 0 < i < len(d) - 1 and d[i] <= d[i - 1] and d[i] < d[i + 1] and d[i] < 0.5:
+            denom = d[i + 1] - 2.0 * d[i] + d[i - 1]
+            shift = 0.0 if denom <= 0 else 0.5 * (d[i - 1] - d[i + 1]) / denom
+            found.append(x[i] + shift * grid.spacing)
+    return found
+
+
+def test_find_minima_matches_pointwise_loop():
+    # seeded dips plus noise give many minima, ties and flat stretches; the
+    # arithmetic is the loop's, so the cores must agree bit for bit
+    g = Grid1D(points=1024, length=92.0, boundary=Boundary.BOX)
+    bg_sq = box_background(g) ** 2
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        dips = np.exp(-(g.x[:, None] - rng.uniform(-40.0, 40.0, 20)) ** 2
+                      / rng.uniform(0.3, 2.0))
+        density = bg_sq * (1.0 - 0.9 * dips.max(axis=1)) + 1e-3 * rng.normal(size=g.points)
+        density[::97] = density[1::97]  # equal neighbours
+        got, want = _find_minima(density, g), _minima_loop(density, g)
+        assert len(want) > 5 and np.array_equal(got, want)
+
+
 def test_fused_evolution_matches_plain_strang_loop():
     g = Grid1D(points=256, length=30.0, boundary=Boundary.BOX)
     pot = g.wall_potential()
