@@ -14,9 +14,7 @@ from .model import (
     ModelParams,
     chi_over_g,
     derive_nu,
-    from_physical,
     qubit_gap,
-    to_physical,
     wannier_alpha,
 )
 from .boundstates import (
@@ -31,7 +29,6 @@ from .bogoliubov import (
     BogoliubovMode,
     dispersion,
     group_velocity,
-    group_velocity_at,
     mode_amplitudes,
     resonant_wavevector,
 )
@@ -76,11 +73,11 @@ from .gpe import (
 __all__ = [
     "__version__",
     "ExponentConvention", "ModelParams", "chi_over_g", "derive_nu",
-    "from_physical", "qubit_gap", "to_physical", "wannier_alpha",
+    "qubit_gap", "wannier_alpha",
     "PtSpectrum", "WannierPair", "dipole_element", "level_count",
     "pt_spectrum", "wannier_pair",
-    "BogoliubovMode", "dispersion", "group_velocity", "group_velocity_at",
-    "mode_amplitudes", "resonant_wavevector",
+    "BogoliubovMode", "dispersion", "group_velocity", "mode_amplitudes",
+    "resonant_wavevector",
     "RateSet", "RwaReport", "correlation_panel", "coupling_amplitude",
     "rate_set", "rwa_report",
     "DensityMatrix4", "DriveParams", "SteadyStateResult", "Trajectory",

@@ -25,7 +25,7 @@ def group_velocity(k):
     k = np.asarray(k, dtype=float)
     if np.any(k < 0.0):
         raise ValueError("group_velocity expects k >= 0")
-    eps = np.sqrt(k * k * (k * k + 2.0))
+    eps = dispersion(k)
     with np.errstate(invalid="ignore", divide="ignore"):
         vg = 2.0 * k * (k * k + 1.0) / eps
     return np.where(k == 0.0, np.sqrt(2.0), vg)
@@ -43,15 +43,6 @@ def resonant_wavevector(omega):
     return omega / np.sqrt(np.sqrt(1.0 + omega * omega) + 1.0)
 
 
-def group_velocity_at(omega):
-    """Group velocity on shell, parameterized by the mode energy."""
-    omega = np.asarray(omega, dtype=float)
-    k = resonant_wavevector(omega)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        vg = 2.0 * k * (k * k + 1.0) / omega
-    return np.where(omega == 0.0, np.sqrt(2.0), vg)
-
-
 def mode_bracket(k, th, ssq):
     """Envelope brackets (bu, bv) of mode k at a point with tanh th, sech^2 ssq.
 
@@ -62,7 +53,7 @@ def mode_bracket(k, th, ssq):
     Plain arithmetic: floats give complex scalars and broadcastable arrays
     give complex arrays.
     """
-    eps = (k * k * (k * k + 2.0)) ** 0.5
+    eps = dispersion(k)
     common = k / 2.0 + 1j * th
     tail = (k / eps) * ssq
     return (

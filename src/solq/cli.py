@@ -12,6 +12,7 @@ settings listed in `--help` for each subcommand.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from .scenarios import (
     PRESETS, Scenario, format_value, parse_value, run_scenario, validate_report,
 )
 
-MODEL_KEYS = ("nu", "mass_ratio", "n0_xi", "wannier_convention")
+MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ModelParams))
 
 COMMAND_SCENARIOS = {
     "rates": ("fig2",),

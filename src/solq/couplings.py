@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import group_velocity, group_velocity_at, mode_bracket, resonant_wavevector
+from .bogoliubov import group_velocity, mode_bracket, resonant_wavevector
 from .boundstates import pt_spectrum, wannier_pair
 from .model import ModelParams, chi_over_g, qubit_gap, wannier_alpha
 
@@ -181,7 +181,7 @@ def _table(alpha, w0, n_y, n_omega):
     """
     wgrid = principal_value_grid(w0, OMEGA_MAX_FACTOR * w0, n_omega)
     karr = np.concatenate([[resonant_wavevector(w0)], resonant_wavevector(wgrid)])
-    vgw = group_velocity_at(wgrid)
+    vgw = group_velocity(karr[1:])
     q, power = _spectral_power(karr, alpha, n_y)
     for arr in (wgrid, karr, vgw, q, power):
         arr.flags.writeable = False

@@ -6,12 +6,11 @@ Master equation in the frame rotating at the drive frequency:
 
 with the collective rate matrix G = [[gamma, Gamma], [Gamma, gamma]] and
 
-    H = eta (sp_1 sm_2 + sp_2 sm_1) - (Omega/2) sum_i (sp_i + sm_i)
-        + delta sum_i sp_i sm_i.
+    H = eta (sp_1 sm_2 + sp_2 sm_1) - (Omega/2) sum_i (sp_i + sm_i),
 
-Everything here is expressed in units of the single-site rate gamma: times are
-in 1/gamma, the Rabi frequency and detuning in gamma, and the collective
-parameters enter as the ratios Gamma/gamma and eta/gamma carried by a RateSet.
+one resonant drive of Rabi frequency Omega on both qubits. Everything here is
+in units of the single-site rate gamma: times in 1/gamma, Omega in gamma, and
+the collective parameters as the ratios Gamma/gamma and eta/gamma of a RateSet.
 
 The generator is a constant 16x16 matrix L on row-major vec(rho), built from
 vec(A rho B) = (A kron B^T) vec(rho). The equation is linear, so `evolve` is
@@ -144,31 +143,22 @@ def dicke_transform(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DriveParams:
-    """Continuous drive: Rabi frequency (units of gamma), optional detuning.
-
-    omega_rabi_2 = None means symmetric pumping (the same amplitude on both
-    qubits), which is the only case the closed-form steady concurrence covers.
-    """
+    """Continuous drive: one resonant Rabi frequency (units of gamma) on both
+    qubits; the default, 0, is no drive."""
 
     omega_rabi: float = 0.0
-    detuning: float = 0.0
-    omega_rabi_2: float | None = None
 
     def __post_init__(self):
-        for name in ("omega_rabi", "detuning", "omega_rabi_2"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"drive {name} must be finite, got {value}")
-
-    @property
-    def symmetric(self) -> bool:
-        return self.omega_rabi_2 is None or self.omega_rabi_2 == self.omega_rabi
+        if not math.isfinite(self.omega_rabi):
+            raise ValueError(f"drive omega_rabi must be finite, got {self.omega_rabi}")
 
 
 # site lowering operators in the product basis
 _SM1 = np.zeros((4, 4)); _SM1[2, 0] = 1.0; _SM1[3, 1] = 1.0
 _SM2 = np.zeros((4, 4)); _SM2[1, 0] = 1.0; _SM2[3, 2] = 1.0
 _SP1, _SP2 = _SM1.T.copy(), _SM2.T.copy()
+_EXCHANGE = _SP1 @ _SM2 + _SP2 @ _SM1
+_SX_SUM = _SP1 + _SM1 + _SP2 + _SM2  # sum_i (sp_i + sm_i)
 
 
 def _check_rates(rates: RateSet):
@@ -179,19 +169,11 @@ def _check_rates(rates: RateSet):
         )
 
 
-def _hamiltonian(rates: RateSet, drive: DriveParams | None) -> np.ndarray:
-    eta = rates.eta_over_gamma
-    h = eta * (_SP1 @ _SM2 + _SP2 @ _SM1)
-    if drive is not None:
-        om1 = drive.omega_rabi
-        om2 = om1 if drive.omega_rabi_2 is None else drive.omega_rabi_2
-        h = h - 0.5 * (om1 * (_SP1 + _SM1) + om2 * (_SP2 + _SM2))
-        if drive.detuning != 0.0:
-            h = h + drive.detuning * (_SP1 @ _SM1 + _SP2 @ _SM2)
-    return h
+def _hamiltonian(rates: RateSet, drive: DriveParams) -> np.ndarray:
+    return rates.eta_over_gamma * _EXCHANGE - 0.5 * drive.omega_rabi * _SX_SUM
 
 
-def build_liouvillian(rates: RateSet, drive: DriveParams | None = None) -> np.ndarray:
+def build_liouvillian(rates: RateSet, drive: DriveParams = DriveParams()) -> np.ndarray:
     """Dense 16x16 generator in the product basis: A rho B enters as A kron B^T."""
     _check_rates(rates)
     big = rates.Gamma_over_gamma
@@ -237,7 +219,7 @@ def _expm1(a: np.ndarray) -> np.ndarray:
 
 
 def evolve(
-    state0: DensityMatrix4, rates: RateSet, t_grid, drive: DriveParams | None = None
+    state0: DensityMatrix4, rates: RateSet, t_grid, drive: DriveParams = DriveParams()
 ) -> Trajectory:
     """Propagate the master equation exactly over a strictly increasing grid.
 
@@ -270,7 +252,7 @@ class SteadyStateResult:
     unique: bool
 
 
-def steady_state(rates: RateSet, drive: DriveParams | None = None) -> SteadyStateResult:
+def steady_state(rates: RateSet, drive: DriveParams = DriveParams()) -> SteadyStateResult:
     """Null-space steady state of the generator, by dense SVD.
 
     The smallest singular value must vanish (< 1e-12 relative); if the second

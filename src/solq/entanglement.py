@@ -56,15 +56,13 @@ def undriven_concurrence_formula(rates: RateSet, times) -> np.ndarray:
 
 
 def steady_concurrence_formula(rates: RateSet, drive: DriveParams) -> float:
-    """Stationary concurrence under symmetric resonant pumping.
+    """Stationary concurrence under the resonant drive on both qubits.
 
     C(inf) = 1/2 max{0, Omega^2 (|U| - Omega^2) / (Omega^4 + Omega^2
     + ((1+Gamma)^2 + 4 eta^2)/4)} with U = Gamma + 2 i eta, all in units of
     gamma. Exact for this model (the tests pin it against the Wootters value
     of the null-space steady state).
     """
-    if not drive.symmetric or drive.detuning != 0.0:
-        raise ValueError("formula requires symmetric resonant pumping")
     big = rates.Gamma_over_gamma
     eta = rates.eta_over_gamma
     om = drive.omega_rabi

@@ -68,8 +68,6 @@ class Grid1D:
             raise ValueError(
                 f"spacing {self.spacing:.4f} exceeds xi/8; raise points or shrink length"
             )
-        if isinstance(self.boundary, str):
-            object.__setattr__(self, "boundary", Boundary(self.boundary))
 
     @property
     def spacing(self) -> float:
@@ -163,9 +161,10 @@ def split_step_evolve(
 
     dt defaults to the step cap DT_CAP_FACTOR * dx^2 and may not exceed it;
     it is shortened so that a whole number of steps reaches t_final. records
-    is a list of (t, psi) pairs, n_records of them spread evenly over the run
-    (empty when n_records = 0). A NaN anywhere aborts with the step index in
-    the message.
+    is a list of (t, psi) pairs at steps spread evenly over the run, the last
+    at t_final: min(n_records, steps) of them, since a step is recorded at
+    most once (empty when n_records = 0). A NaN anywhere aborts with the step
+    index in the message.
     """
     grid = field.grid
     dx = grid.spacing
@@ -416,7 +415,8 @@ def multi_soliton_experiment(
 
     Requires count * spacing < 0.9 * box_length so the chain fits with
     margin. Tracks are matched frame to frame by order (the cores never cross
-    in this regime); losing a core flags the result with the loss time.
+    in this regime); losing a core flags the result with the loss time. The
+    imprinted frame is followed by min(n_records, steps) frames of the run.
     """
     if count < 1:
         raise ValueError("count must be at least 1")

@@ -4,7 +4,8 @@ Everything downstream works in soliton units: hbar = xi = mu = m_psi = 1,
 with xi = hbar/sqrt(g n0 m_psi) the healing length and mu = g n0 the chemical
 potential of the background condensate. The impurity physics is controlled by
 a single dimensionless well parameter nu derived from the impurity-condensate
-coupling, and by the impurity/condensate mass ratio.
+coupling, and by the impurity/condensate mass ratio. The one laboratory
+anchor is figS3's, `scenarios.FIGS3_XI_UM` and `FIGS3_MU_RAD_S`.
 """
 
 import math
@@ -27,19 +28,12 @@ class ExponentConvention(Enum):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Dimensionless model parameters plus optional physical scales.
-
-    physical_xi is the healing length in meters, physical_mu the chemical
-    potential expressed as a frequency mu/hbar in Hz. Both are only needed
-    when converting results to laboratory units.
-    """
+    """Dimensionless model parameters; every field is a config key."""
 
     nu: float = 0.75
     mass_ratio: float = 1.56
-    wannier_convention: ExponentConvention = ExponentConvention.DEFAULT
     n0_xi: float = 50.0
-    physical_xi: float | None = None
-    physical_mu: float | None = None
+    wannier_convention: ExponentConvention = ExponentConvention.DEFAULT
 
     def __post_init__(self):
         if not 0.0 <= self.nu < math.inf:
@@ -87,36 +81,3 @@ def wannier_alpha(params: ModelParams) -> float:
     if conv is ExponentConvention.DEFAULT:
         return math.sqrt(nu * (nu + 1.0))
     return nu
-
-
-_TO_PHYSICAL_KINDS = ("length", "rate", "time")
-
-
-def _scale(kind: str, params: ModelParams) -> float:
-    """The SI scale of a kind: physical_xi for a length, physical_mu otherwise."""
-    if kind not in _TO_PHYSICAL_KINDS:
-        raise ValueError(f"unknown kind {kind!r}, expected one of {_TO_PHYSICAL_KINDS}")
-    if kind == "length":
-        if params.physical_xi is None:
-            raise ValueError("physical_xi is not set; cannot convert a length")
-        return params.physical_xi
-    if params.physical_mu is None:
-        raise ValueError(f"physical_mu is not set; cannot convert a {kind}")
-    return params.physical_mu
-
-
-def to_physical(value: float, kind: str, params: ModelParams) -> float:
-    """Convert a dimensionless value to SI using the configured scales.
-
-    kind = "length" multiplies by physical_xi (meters), "rate" by physical_mu
-    (Hz), "time" divides by physical_mu (seconds). Raises if the needed scale
-    is not set on params.
-    """
-    scale = _scale(kind, params)
-    return value / scale if kind == "time" else value * scale
-
-
-def from_physical(value: float, kind: str, params: ModelParams) -> float:
-    """Inverse of to_physical (SI in, dimensionless out)."""
-    scale = _scale(kind, params)
-    return value * scale if kind == "time" else value / scale

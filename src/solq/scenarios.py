@@ -154,6 +154,16 @@ def _build_fig2(sc: Scenario) -> list[Path]:
     return _emit(sc, header, rows, {"d_min": 0.0, "d_max": 10.0})
 
 
+def _time_grid(sc: Scenario) -> np.ndarray:
+    """points times evenly spaced over [0, t_final], checked as the user gave them."""
+    t_final = sc.settings["t_final"]
+    if sc.points < 2:
+        raise ValueError(f"--points must be at least 2 for a time series, got {sc.points}")
+    if t_final <= 0.0:
+        raise ValueError(f"config key 't_final' must be positive, got {t_final!r}")
+    return np.linspace(0.0, t_final, sc.points)
+
+
 def _decay_concurrence(sc, d_list, t_grid):
     """Evolved and closed-form concurrence for the one-excitation start."""
     state0 = basis_state("eg")
@@ -170,7 +180,7 @@ def _decay_concurrence(sc, d_list, t_grid):
 def _build_fig3a(sc: Scenario) -> list[Path]:
     """Entanglement decay after exciting one qubit, d = 1 and 2.5."""
     t_final = sc.settings["t_final"]
-    t_grid = np.linspace(0.0, t_final, sc.points)
+    t_grid = _time_grid(sc)
     d_list = (1.0, 2.5)
     numeric, formula = _decay_concurrence(sc, d_list, t_grid)
     header = [
@@ -187,7 +197,7 @@ def _build_fig3a(sc: Scenario) -> list[Path]:
 def _build_fig3b(sc: Scenario) -> list[Path]:
     """Collective-basis populations during the same decay."""
     t_final, d = sc.settings["t_final"], sc.settings["d"]
-    t_grid = np.linspace(0.0, t_final, sc.points)
+    t_grid = _time_grid(sc)
     r = rate_set(d, sc.params)
     traj = evolve(basis_state("eg"), r, t_grid)
     header = ["t_gamma", "rho_ee", "rho_ss", "rho_aa", "rho_gg", "concurrence"]
@@ -205,7 +215,7 @@ def _build_fig4(sc: Scenario) -> list[Path]:
     header = ["t_gamma"] + [f"concurrence_omega_{format_value(om)}" for om in omegas]
     if header[1] == header[2]:
         raise ValueError(f"omega_1 and omega_2 give one column name, {header[1]}")
-    t_grid = np.linspace(0.0, sc.settings["t_final"], sc.points)
+    t_grid = _time_grid(sc)
     r = rate_set(d, sc.params)
     cols = []
     for om in omegas:

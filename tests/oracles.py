@@ -39,7 +39,7 @@ def dicke_matrix(init: dict) -> np.ndarray:
 
 
 def liouvillian_apply(rho: np.ndarray, rates: RateSet,
-                      drive: DriveParams | None = None) -> np.ndarray:
+                      drive: DriveParams = DriveParams()) -> np.ndarray:
     """drho/dt in units of gamma (the diagonal decay of |ee><ee| is -2)."""
     return (build_liouvillian(rates, drive) @ np.ravel(rho)).reshape(4, 4)
 
@@ -88,16 +88,15 @@ def analytic_undriven(init: dict, rates: RateSet, times) -> np.ndarray:
 
 
 def steady_state_closed_form(rates: RateSet, drive: DriveParams) -> np.ndarray:
-    """Symmetrically driven steady state in closed form, product basis.
+    """Steady state under the resonant drive on both qubits in closed form,
+    product basis.
 
-    Valid for symmetric resonant pumping only. In the Dicke basis the s-g
-    coherence carries gamma (gamma + Gamma - 2 i eta) + Omega^2 in its
-    numerator; the sign of the eta term matters and is fixed by the
-    generator's null space (the tests pin it against the SVD route).
+    In the Dicke basis the s-g coherence carries gamma (gamma + Gamma - 2 i
+    eta) + Omega^2 in its numerator; the sign of the eta term matters and is
+    fixed by the generator's null space (the tests pin it against the SVD
+    route).
     """
     _check_rates(rates)
-    if not drive.symmetric or drive.detuning != 0.0:
-        raise ValueError("closed form requires symmetric resonant pumping")
     big = rates.Gamma_over_gamma
     eta = rates.eta_over_gamma
     om = drive.omega_rabi

@@ -36,7 +36,8 @@ from solq.entanglement import (
     undriven_concurrence_formula,
 )
 from solq.gpe import Boundary, Grid1D, gpe_energy, imprint_solitons, multi_soliton_experiment, relax_impurity
-from solq.model import ModelParams, qubit_gap, to_physical
+from solq.model import ModelParams, qubit_gap
+from solq.scenarios import FIGS3_XI_UM
 
 PARAMS = ModelParams()
 _RATE_CACHE = {}
@@ -339,10 +340,9 @@ def test_10_property_sweep_and_unit_mapping():
     grid_dev = abs(energies[1] - energies[0]) / abs(energies[1])
 
     # headline physical figures are unit choices: separations of 2-3 healing
-    # lengths land in the few-micron range once xi is fixed
-    phys = ModelParams(physical_xi=1.3e-6, physical_mu=225.0)
-    d_low = to_physical(2.0, "length", phys)
-    d_high = to_physical(3.0, "length", phys)
+    # lengths land in the few-micron range at figS3's healing length
+    d_low = 2.0 * FIGS3_XI_UM * 1e-6
+    d_high = 3.0 * FIGS3_XI_UM * 1e-6
     units_ok = 2e-6 <= d_low and d_high <= 5e-6
 
     elapsed = time.perf_counter() - t0

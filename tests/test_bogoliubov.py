@@ -7,7 +7,6 @@ from solq.bogoliubov import (
     K_MIN,
     dispersion,
     group_velocity,
-    group_velocity_at,
     mode_amplitudes,
     resonant_wavevector,
 )
@@ -50,13 +49,6 @@ def test_group_velocity_limits():
     h = 1e-6
     fd = (dispersion(k + h) - dispersion(k - h)) / (2.0 * h)
     assert abs(float(group_velocity(k)) - fd) < 1e-8
-
-
-def test_group_velocity_at_matches_composition():
-    omega = np.linspace(0.01, 10.0, 50)
-    direct = group_velocity_at(omega)
-    composed = group_velocity(resonant_wavevector(omega))
-    assert np.max(np.abs(direct - composed)) < 1e-12
 
 
 def test_negative_arguments_rejected():

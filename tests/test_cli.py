@@ -80,6 +80,11 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         # two drives that agree to 12 digits would name one column twice
         (["driven"], "omega_1=0.35\nomega_2=0.3500000000001\n",
          "omega_1 and omega_2 give one column name"),
+        # a time series names the flag or key it needs, not the t_grid it builds
+        (["decay", "--points", "1"], "", "--points must be at least 2"),
+        (["driven", "--points", "1"], "", "--points must be at least 2"),
+        (["decay"], "t_final=-2\n", "'t_final' must be positive, got -2.0"),
+        (["driven"], "t_final=0\n", "'t_final' must be positive, got 0.0"),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, monkeypatch, capsys, argv, text, needle):
@@ -103,7 +108,6 @@ def test_bad_config_value_exits_2(tmp_path, monkeypatch, capsys, argv, text, nee
         lambda: ModelParams(n0_xi=float("inf")),
         lambda: rate_set(float("nan"), ModelParams()),
         lambda: DriveParams(omega_rabi=float("nan")),
-        lambda: DriveParams(omega_rabi=0.3, detuning=float("inf")),
         lambda: Grid1D(points=2048, length=float("nan")),
         lambda: Scenario("fig5a", settings={"omega": float("nan")}),
     ],
@@ -156,10 +160,15 @@ def test_cli_import_leaves_out_scipy():
     assert out.strip() == "False"
 
 
-@pytest.mark.parametrize("points", ["0", "-3"])
-def test_nonpositive_points_exit_2(tmp_path, capsys, points):
-    # 0 must not fall back to the preset's default resolution
-    code = main(["rates", "--points", points, "--out", str(tmp_path)])
+@pytest.mark.parametrize(
+    ("command", "points"),
+    [("rates", "0"), ("rates", "-3"), ("decay", "1")],
+    ids=["0", "-3", "decay-1"],
+)
+def test_nonpositive_points_exit_2(tmp_path, capsys, command, points):
+    # 0 must not fall back to the preset's default resolution, and a time
+    # series needs two points
+    code = main([command, "--points", points, "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")

@@ -214,16 +214,6 @@ def test_steady_formula_matches_wootters_of_steady_state():
         assert abs(direct - formula) < 1e-8
 
 
-def test_steady_formula_requires_symmetric_resonant_drive():
-    rates = make_rates(0.3, 0.1)
-    with pytest.raises(ValueError):
-        steady_concurrence_formula(rates, DriveParams(omega_rabi=0.3, detuning=0.1))
-    with pytest.raises(ValueError):
-        steady_concurrence_formula(
-            rates, DriveParams(omega_rabi=0.3, omega_rabi_2=0.1)
-        )
-
-
 def test_strong_drive_kills_steady_entanglement():
     rates = make_rates(0.7, 0.3)
     # |U| = hypot(Gamma, 2 eta); above Omega^2 = |U| the formula clamps to zero

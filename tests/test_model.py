@@ -8,9 +8,7 @@ from solq.model import (
     ModelParams,
     chi_over_g,
     derive_nu,
-    from_physical,
     qubit_gap,
-    to_physical,
     wannier_alpha,
 )
 
@@ -76,26 +74,3 @@ def test_params_validation():
         ModelParams(n0_xi=-1.0)
     # nu = 0 is a legal degenerate point (no well)
     assert ModelParams(nu=0.0).nu == 0.0
-
-
-def test_physical_conversion_roundtrip():
-    p = ModelParams(physical_xi=1.3e-6, physical_mu=225.0)
-    rng = np.random.default_rng(4)
-    for kind in ("length", "rate", "time"):
-        for _ in range(20):
-            v = rng.uniform(0.1, 10.0)
-            w = to_physical(v, kind, p)
-            assert abs(from_physical(w, kind, p) - v) < 1e-12 * v
-    assert to_physical(2.0, "length", p) == 2.6e-6
-    assert to_physical(0.5, "rate", p) == 112.5
-    assert abs(to_physical(22.5, "time", p) - 0.1) < 1e-15
-
-
-def test_physical_conversion_requires_scales():
-    bare = ModelParams()
-    with pytest.raises(ValueError):
-        to_physical(1.0, "length", bare)
-    with pytest.raises(ValueError):
-        from_physical(1.0, "time", bare)
-    with pytest.raises(ValueError):
-        to_physical(1.0, "mass", ModelParams(physical_xi=1e-6, physical_mu=100.0))
