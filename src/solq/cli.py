@@ -101,6 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_dataset(args) -> int:
+    if args.points is not None and args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     cfg = parse_config(args.config) if args.config else {}
     model_kwargs, settings = _split_config(cfg)
     params = ModelParams(**model_kwargs)

@@ -85,6 +85,8 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         (["driven", "--points", "1"], "", "--points must be at least 2"),
         (["decay"], "t_final=-2\n", "'t_final' must be positive, got -2.0"),
         (["driven"], "t_final=0\n", "'t_final' must be positive, got 0.0"),
+        (["rates", "--points", "0"], "", "--points must be at least 1, got 0"),
+        (["rates", "--points", "-3"], "", "--points must be at least 1, got -3"),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, monkeypatch, capsys, argv, text, needle):

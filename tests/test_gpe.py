@@ -66,6 +66,29 @@ def test_real_time_conserves_energy_and_norm():
     assert abs(out.norm_sq() - n0) < 1e-10 * n0
 
 
+def test_default_step_cap_is_accurate():
+    # the default step, half the split-step stability limit, against a
+    # quarter-step run recording at the same times: the cores differ by at
+    # most 1.3e-6 xi, and the run moves the energy by 2.5e-9 and the norm by
+    # 2.9e-13 (relative)
+    g = Grid1D(points=512, length=40.0, boundary=Boundary.BOX)
+    f = imprint_solitons(g, [-3.75, -1.25, 1.25, 3.75])
+    t_final, n_records = 5.0, 26
+    n_steps = math.ceil(t_final / (gpe.DT_CAP_FACTOR * g.spacing ** 2))
+    assert n_steps % n_records == 0
+    out, records = split_step_evolve(f, t_final, n_records=n_records)
+    _, reference = split_step_evolve(f, t_final, dt=t_final / (4 * n_steps),
+                                     n_records=n_records)
+    for (t, psi), (t_ref, psi_ref) in zip(records, reference, strict=True):
+        assert t == pytest.approx(t_ref, rel=1e-12)
+        cores, cores_ref = _find_minima(_density(psi), g), _find_minima(_density(psi_ref), g)
+        assert len(cores) == len(cores_ref) == 4
+        assert np.max(np.abs(np.subtract(cores, cores_ref))) < 1e-5
+    e0, n0 = gpe_energy(f), f.norm_sq()
+    assert abs(gpe_energy(out) - e0) < 1e-7 * abs(e0)
+    assert abs(out.norm_sq() - n0) < 1e-12 * n0
+
+
 def test_soliton_phase_jump():
     g = Grid1D(points=1024, length=60.0, boundary=Boundary.BOX)
     f = imprint_solitons(g, [0.0])

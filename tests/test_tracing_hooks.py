@@ -6,6 +6,7 @@ this test runs its install/uninstall and a tiny traced GPE run.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +48,29 @@ def test_tracing_wraps_the_gpe_entry_points():
     assert op["gpe.split_step_evolve.steps"] == 7
     assert op["kernels.phase_step.calls"] == 7
     # one decay step per imaginary-time step of the imprint's two stages
-    fine_dt = gpe.DT_CAP_FACTOR * grid.spacing ** 2
+    fine_dt = gpe.IMPRINT_FINE_DT_FACTOR * grid.spacing ** 2
     assert op["kernels.decay_step.calls"] == round(0.03 / 0.003) + round(0.5 / fine_dt)
     assert op["gpe.relax_impurity.steps"] == 10
     assert np.isclose(op["trace.self_sum_s"], op["gpe.imprint_solitons.s"]
                       + op["gpe.split_step_evolve.s"] + op["gpe.relax_impurity.s"])
+
+
+def test_traced_default_step_count_is_the_kernel_call_count():
+    # perfbench derives the step count of a default-step run from
+    # DT_CAP_FACTOR; the pointwise kernel runs once per step
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    grid = gpe.Grid1D(points=256, length=30.0)
+    field = gpe.LatticeField(grid=grid, psi=np.ones(grid.points, dtype=complex))
+    saved = tracing.install(tracer)
+    try:
+        tracer.run = 0
+        gpe.split_step_evolve(field, 0.05, dt=None, n_records=2)
+        tracer.run = None
+    finally:
+        tracing.uninstall(saved)
+
+    (op,) = tracing.per_operation(tracer)
+    steps = math.ceil(0.05 / (gpe.DT_CAP_FACTOR * grid.spacing ** 2))
+    assert steps > 1
+    assert op["gpe.split_step_evolve.steps"] == op["kernels.phase_step.calls"] == steps
