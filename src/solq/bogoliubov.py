@@ -64,21 +64,20 @@ def mode_bracket(k, th, ssq):
 
 @dataclass(frozen=True)
 class BogoliubovMode:
-    """u/v envelope pair of one reservoir mode around a soliton at `center`."""
+    """u/v envelope pair of one reservoir mode around a soliton at x = 0."""
 
     k: float
-    center: float
     u: np.ndarray
     v: np.ndarray
 
 
-def mode_amplitudes(k: float, x, center: float = 0.0) -> BogoliubovMode:
+def mode_amplitudes(k: float, x) -> BogoliubovMode:
     """Local-density u_k, v_k profiles on the grid x.
 
-    u_k(x) = e^{ik(x-c)} sqrt(1/4pi) (1/eps) [(k^2 + 2 eps)(k/2 + i tanh) + k sech^2],
-    v_k(x) = e^{-ik(x-c)} sqrt(1/4pi) (1/eps) [(k^2 - 2 eps)(k/2 + i tanh) + k sech^2],
+    u_k(x) = e^{ikx} sqrt(1/4pi) (1/eps) [(k^2 + 2 eps)(k/2 + i tanh) + k sech^2],
+    v_k(x) = e^{-ikx} sqrt(1/4pi) (1/eps) [(k^2 - 2 eps)(k/2 + i tanh) + k sech^2],
 
-    with tanh/sech taken at x - c. These are envelope approximations and are
+    with tanh/sech taken at x. These are envelope approximations and are
     not normalized: far from the core |u|^2 - |v|^2 tends to
     2k^2(k^2 + 4)/(4 pi eps(k)), not 1 (0.045 at k = 0.1, 3.0 at k = 4).
     Gamma/gamma is a ratio at one k, so the factor cancels there; eta/gamma
@@ -90,9 +89,8 @@ def mode_amplitudes(k: float, x, center: float = 0.0) -> BogoliubovMode:
     if k < K_MIN:
         raise ValueError(f"k = {k} below the supported minimum {K_MIN}")
     x = np.asarray(x, dtype=float)
-    y = x - center
-    bu, bv = mode_bracket(k, np.tanh(y), 1.0 / np.cosh(y) ** 2)
+    bu, bv = mode_bracket(k, np.tanh(x), 1.0 / np.cosh(x) ** 2)
     pref = np.sqrt(1.0 / (4.0 * np.pi))
-    u = np.exp(1j * k * y) * pref * bu
-    v = np.exp(-1j * k * y) * pref * bv
-    return BogoliubovMode(k=k, center=center, u=u, v=v)
+    u = np.exp(1j * k * x) * pref * bu
+    v = np.exp(-1j * k * x) * pref * bv
+    return BogoliubovMode(k=k, u=u, v=v)

@@ -4,7 +4,7 @@ The soliton density dip acts on the impurity as a sech^2 well of the
 Poschl-Teller family. The two lowest localized orbitals (the qubit states)
 are modeled by the classic variational pair
 
-    phi0(x) = A0 sech^alpha(x - c),      phi1(x) = A1 tanh(x - c) phi0(x),
+    phi0(x) = A0 sech^alpha(x),      phi1(x) = A1 tanh(x) phi0(x),
 
 with alpha set by the convention on ModelParams. Energies and the level count
 come from the analytic well spectrum; the split-step module cross-checks them
@@ -61,39 +61,27 @@ class WannierPair:
     """The two localized impurity orbitals at one soliton site."""
 
     alpha: float
-    center: float
     a0: float
     a1: float
 
     def phi0(self, x):
         x = np.asarray(x, dtype=float)
-        return self.a0 * np.cosh(x - self.center) ** (-self.alpha)
+        return self.a0 * np.cosh(x) ** (-self.alpha)
 
     def phi1(self, x):
         x = np.asarray(x, dtype=float)
-        return self.a1 * np.tanh(x - self.center) * self.phi0(x)
+        return self.a1 * np.tanh(x) * self.phi0(x)
 
 
-def wannier_pair(params: ModelParams, center: float = 0.0) -> WannierPair:
+def wannier_pair(params: ModelParams) -> WannierPair:
     """Build the normalized orbital pair for the configured alpha.
 
     Both are analytic: A1 = 1/sqrt(int A0^2 sech^(2 alpha) tanh^2) =
     sqrt(1 + 2 alpha), because that integral is 1/(1 + 2 alpha).
-    Sign convention: phi1 >= 0 for x > center.
+    Sign convention: phi1 >= 0 for x > 0.
     """
     alpha = wannier_alpha(params)
     if alpha <= 0.0:
         raise ValueError(f"need a positive sech exponent, got alpha = {alpha}")
-    return WannierPair(alpha=alpha, center=center, a0=_sech_norm(alpha),
-                       a1=math.sqrt(1.0 + 2.0 * alpha))
+    return WannierPair(alpha=alpha, a0=_sech_norm(alpha), a1=math.sqrt(1.0 + 2.0 * alpha))
 
-
-def dipole_element(pair: WannierPair) -> float:
-    """Transition dipole <1|x|0> = A1/(2 alpha) in units of xi (order 1, positive).
-
-    This is the constant that converts a magnetic-gradient drive amplitude
-    into a Rabi frequency. Integrating by parts, int y tanh sech^(2 alpha) =
-    (1/(2 alpha)) int sech^(2 alpha) = 1/(2 alpha A0^2), so the A0^2 of the
-    pair cancels.
-    """
-    return pair.a1 / (2.0 * pair.alpha)

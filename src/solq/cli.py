@@ -68,10 +68,6 @@ def _add_common(sub: argparse.ArgumentParser, scenarios) -> None:
     sub.add_argument("--config", help="key=value parameter file")
     sub.add_argument("--out", default=".", help="output directory (default .)")
     sub.add_argument("--points", type=int, help="override sweep/grid resolution")
-    sub.add_argument(
-        "--threads", type=int,
-        help="sweep parallelism (default: available cores)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,8 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_dataset(args) -> int:
-    if args.points is not None and args.points < 1:
-        raise ValueError(f"--points must be at least 1, got {args.points}")
     cfg = parse_config(args.config) if args.config else {}
     model_kwargs, settings = _split_config(cfg)
     params = ModelParams(**model_kwargs)
@@ -112,7 +106,6 @@ def _run_dataset(args) -> int:
         settings=settings,
         out_dir=Path(args.out),
         points=args.points,
-        threads=args.threads,
     )
     paths = run_scenario(scenario)
     print("wrote " + " ".join(str(p) for p in paths))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import group_velocity, mode_bracket, resonant_wavevector
-from .boundstates import pt_spectrum, wannier_pair
+from .boundstates import wannier_pair
 from .model import ModelParams, chi_over_g, qubit_gap, wannier_alpha
 
 Y_HALF = 40.0          # spatial support half-width of the trapezoid sums, in xi
@@ -259,13 +259,11 @@ def coupling_amplitude(l, m, k, params: ModelParams):
 class RwaReport:
     """Weak-coupling sanity numbers: amplitude hierarchy and rate scales."""
 
-    k0: float
     g01_abs: float
     g00_over_g01: float
     g11_over_g01: float
     gamma: float
     gamma_over_omega0: float
-    qubit_window: bool
     valid: bool
 
 
@@ -274,18 +272,18 @@ def rwa_report(params: ModelParams) -> RwaReport:
 
     At the resonant mode the interband amplitude should dominate both
     intraband ones, and gamma should sit far below the qubit gap. Only
-    `valid` is a verdict, and it means no more than a nonzero coupling and a
-    positive gap: the amplitude ratios g00/g01 and g11/g01 are reported, not
-    gated (a gate waits for a benchmark whose seeded parameters meet it). A
-    coupling of zero (nu = 0) yields NaN fields and valid = False.
+    `valid` is a verdict, and it means no more than a positive gap, which
+    needs nu > 1/2 and so a nonzero coupling: the amplitude ratios g00/g01
+    and g11/g01 are reported, not gated (a gate waits for a benchmark whose
+    seeded parameters meet it). A gap of zero or less (nu <= 1/2, including
+    the uncoupled nu = 0) yields NaN fields and valid = False.
     """
-    window = pt_spectrum(params).qubit_window
     w0 = qubit_gap(params)
-    if params.nu == 0.0 or w0 <= 0.0:
+    if w0 <= 0.0:
         nan = float("nan")
         return RwaReport(
-            k0=nan, g01_abs=nan, g00_over_g01=nan, g11_over_g01=nan,
-            gamma=nan, gamma_over_omega0=nan, qubit_window=window, valid=False,
+            g01_abs=nan, g00_over_g01=nan, g11_over_g01=nan,
+            gamma=nan, gamma_over_omega0=nan, valid=False,
         )
     k0 = float(resonant_wavevector(w0))
     g00 = abs(coupling_amplitude(0, 0, k0, params))
@@ -293,12 +291,10 @@ def rwa_report(params: ModelParams) -> RwaReport:
     g11 = abs(coupling_amplitude(1, 1, k0, params))
     gamma = rate_set(0.0, params).gamma
     return RwaReport(
-        k0=k0,
         g01_abs=g01,
         g00_over_g01=g00 / g01,
         g11_over_g01=g11 / g01,
         gamma=gamma,
         gamma_over_omega0=gamma / w0,
-        qubit_window=window,
         valid=True,
     )

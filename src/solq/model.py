@@ -48,21 +48,8 @@ class ModelParams:
             )
 
 
-def derive_nu(chi_over_g: float, mass_ratio: float) -> float:
-    """Well parameter nu from the impurity coupling chi (in units of g).
-
-    Monotone in chi_over_g; chi_over_g = 0.88, mass_ratio = 1.56 gives
-    nu = 0.7739.
-    """
-    if chi_over_g < 0.0:
-        raise ValueError("chi_over_g must be nonnegative")
-    if mass_ratio <= 0.0:
-        raise ValueError("mass_ratio must be positive")
-    return 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * chi_over_g * mass_ratio))
-
-
 def chi_over_g(params: ModelParams) -> float:
-    """Inverse of derive_nu: the coupling that produces params.nu."""
+    """Impurity coupling chi in units of g that produces params.nu: nu (nu + 1)/m_r."""
     return params.nu * (params.nu + 1.0) / params.mass_ratio
 
 

@@ -43,19 +43,18 @@ class Scenario:
     settings: dict = field(default_factory=dict)
     out_dir: Path = Path(".")
     points: int | None = None
-    threads: int | None = None
 
     def __post_init__(self):
         """Fill in the preset's defaults and give every setting its default's type."""
         preset = PRESETS.get(self.name)
         if preset is None:
             raise ValueError(
-                f"unknown scenario {self.name!r}; choose from {', '.join(SCENARIO_NAMES)}"
+                f"unknown scenario {self.name!r}; choose from {', '.join(PRESETS)}"
             )
         if self.points is None:
             self.points = preset.points
         elif self.points < 1:
-            raise ValueError(f"points must be >= 1, got {self.points}")
+            raise ValueError(f"--points must be at least 1, got {self.points}")
         settings = dict(preset.settings)
         for key, value in self.settings.items():
             if key not in settings:
@@ -114,8 +113,6 @@ def _base_meta(sc: Scenario, columns) -> dict:
 
 
 def _sweep(fn, values, threads):
-    if threads is None:
-        threads = os.cpu_count() or 1
     if threads <= 1 or len(values) <= 1:
         return [fn(v) for v in values]
     with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -123,7 +120,7 @@ def _sweep(fn, values, threads):
 
 
 def _rates_for(sc: Scenario, d_values) -> list[RateSet]:
-    return _sweep(lambda d: rate_set(d, sc.params), d_values, sc.threads)
+    return _sweep(lambda d: rate_set(d, sc.params), d_values, os.cpu_count() or 1)
 
 
 def run_scenario(sc: Scenario) -> list[Path]:
@@ -337,7 +334,6 @@ PRESETS = {
         "box_length": 100.0 / FIGS3_XI_UM, "t_final": 0.100 * FIGS3_MU_RAD_S,
     }),
 }
-SCENARIO_NAMES = tuple(PRESETS)
 
 
 def validate_report(params: ModelParams, d_check: float = 2.5) -> tuple[dict, bool]:

@@ -75,14 +75,6 @@ def test_mode_norm_is_flat_far_from_core():
         assert abs(np.mean(far) - plateau) < 1e-6 * plateau
 
 
-def test_mode_center_shifts_profiles():
-    x = np.linspace(-20.0, 20.0, 801)
-    m0 = mode_amplitudes(0.3, x, center=0.0)
-    m5 = mode_amplitudes(0.3, x + 5.0, center=5.0)
-    assert np.max(np.abs(m5.u - m0.u)) < 1e-13
-    assert np.max(np.abs(m5.v - m0.v)) < 1e-13
-
-
 def test_mode_rejects_small_k():
     x = np.linspace(-5.0, 5.0, 64)
     with pytest.raises(ValueError):

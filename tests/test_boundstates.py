@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from solq.boundstates import dipole_element, level_count, pt_spectrum, wannier_pair
+from solq.boundstates import level_count, pt_spectrum, wannier_pair
 from solq.model import ExponentConvention, ModelParams
 
 
@@ -85,51 +85,11 @@ def test_default_pair_values():
 
 
 def test_phi1_sign_and_node():
-    pair = wannier_pair(ModelParams(), center=1.5)
-    x = np.linspace(1.5 + 1e-3, 10.0, 200)
+    pair = wannier_pair(ModelParams())
+    x = np.linspace(1e-3, 8.5, 200)
     assert np.all(pair.phi1(x) > 0.0)
-    assert np.all(pair.phi1(2.0 * 1.5 - x) < 0.0)
-    assert abs(pair.phi1(1.5)) < 1e-15
-
-
-def test_orbitals_shift_with_center():
-    pair0 = wannier_pair(ModelParams())
-    pair3 = wannier_pair(ModelParams(), center=3.0)
-    x = np.linspace(-8.0, 8.0, 101)
-    assert np.max(np.abs(pair3.phi0(x + 3.0) - pair0.phi0(x))) < 1e-14
-    assert np.max(np.abs(pair3.phi1(x + 3.0) - pair0.phi1(x))) < 1e-14
-
-
-def test_dipole_element_default():
-    pair = wannier_pair(ModelParams())
-    assert abs(dipole_element(pair) - 0.7917777282471234) < 1e-10
-
-
-def test_dipole_element_closed_form():
-    # the closed form A1/(2 alpha) against adaptive quadrature of phi1 y phi0
-    for a in np.geomspace(0.5, 20.0, 12):
-        pair = wannier_pair(
-            ModelParams(nu=float(a), wannier_convention=ExponentConvention.EIGENSTATE)
-        )
-        val, err = quad(
-            lambda y: pair.a0 ** 2 * pair.a1 * math.tanh(y) * y
-            * math.cosh(y) ** (-2.0 * pair.alpha),
-            -40.0, 40.0, epsabs=1e-15, epsrel=1e-12, limit=200,
-        )
-        assert err < 1e-12
-        assert abs(dipole_element(pair) - val) < 1e-12
-
-
-def test_dipole_element_hypergeometric_oracle():
-    # independent route: <1|x|0> = A0^2 A1 * d/ds[B(s)]-type series via mpmath
-    mpmath = pytest.importorskip("mpmath")
-    pair = wannier_pair(ModelParams())
-    a = pair.alpha
-    val = mpmath.quad(
-        lambda y: pair.a0 ** 2 * pair.a1 * mpmath.tanh(y) * y / mpmath.cosh(y) ** (2 * a),
-        [-mpmath.inf, 0, mpmath.inf],
-    )
-    assert abs(dipole_element(pair) - float(val)) < 1e-10
+    assert np.all(pair.phi1(-x) < 0.0)
+    assert abs(pair.phi1(0.0)) < 1e-15
 
 
 def test_rejects_zero_alpha():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import solq
+from solq import scenarios
 from solq.cli import main, parse_config
 from solq.couplings import _table, rate_set
 from solq.dynamics import DriveParams
@@ -233,16 +234,18 @@ def test_reruns_are_byte_identical(tmp_path):
     assert first == second
 
 
-def test_sweep_threads_give_identical_bytes(tmp_path):
+def test_sweep_threads_give_identical_bytes(tmp_path, monkeypatch):
     # each run starts without a cached rate table, so with two threads both
     # sweep workers ask for it at once; it must be built once and the
-    # outputs must not depend on the thread count
+    # outputs must not depend on the thread count (the sweep sizes its pool
+    # from the core count)
     outputs = []
-    for threads in ("1", "2"):
+    for threads in (1, 2):
+        monkeypatch.setattr(scenarios.os, "cpu_count", lambda: threads)
         _table.cache_clear()
-        out = tmp_path / threads
+        out = tmp_path / str(threads)
         assert main(["steady", "--scenario", "fig5a", "--points", "6",
-                     "--threads", threads, "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         assert _table.cache_info().misses == 1
         outputs.append([(out / n).read_bytes() for n in ("fig5a.csv", "fig5a.meta")])
     assert outputs[0] == outputs[1]

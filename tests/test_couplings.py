@@ -297,7 +297,6 @@ def test_rwa_report_hierarchy():
     assert abs(r.gamma_over_omega0 - 0.0003071779520791162) < 1e-8
     assert r.g00_over_g01 < 1.0
     assert r.g11_over_g01 < 1.0
-    assert r.qubit_window
     assert r.valid
 
 

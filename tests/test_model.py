@@ -7,38 +7,24 @@ from solq.model import (
     ExponentConvention,
     ModelParams,
     chi_over_g,
-    derive_nu,
     qubit_gap,
     wannier_alpha,
 )
 
 
-def test_derive_nu_reference_point():
-    # chi/g = 0.88 at mass ratio 1.56 sits just above the default working point
-    assert abs(derive_nu(0.88, 1.56) - 0.7739) < 5e-5
-
-
-def test_derive_nu_roundtrip():
+def test_chi_over_g_closed_form():
     rng = np.random.default_rng(11)
     for _ in range(100):
         nu = rng.uniform(0.05, 3.0)
         mr = rng.uniform(0.2, 5.0)
-        p = ModelParams(nu=nu, mass_ratio=mr)
-        assert abs(derive_nu(chi_over_g(p), mr) - nu) < 1e-12
+        expected = nu * (nu + 1.0) / mr
+        assert abs(chi_over_g(ModelParams(nu=nu, mass_ratio=mr)) - expected) < 1e-14 * expected
+    assert chi_over_g(ModelParams(nu=0.0)) == 0.0
 
 
-def test_derive_nu_monotone_and_zero():
-    assert derive_nu(0.0, 1.56) == 0.0
-    grid = np.linspace(0.0, 2.0, 50)
-    vals = [derive_nu(c, 1.56) for c in grid]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-def test_derive_nu_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        derive_nu(-0.1, 1.56)
-    with pytest.raises(ValueError):
-        derive_nu(0.5, 0.0)
+def test_chi_over_g_reference_point():
+    # chi/g = 0.88 at mass ratio 1.56 sits just above the default working point
+    assert abs(chi_over_g(ModelParams(nu=0.7739, mass_ratio=1.56)) - 0.88) < 5e-5
 
 
 def test_default_qubit_gap():
