@@ -21,14 +21,11 @@ def dispersion(k):
 
 
 def group_velocity(k):
-    """d eps/d k = 2 k (k^2 + 1)/eps(k); sound speed sqrt(2) at k -> 0."""
+    """d eps/d k = 2 (k^2 + 1)/sqrt(k^2 + 2); sound speed sqrt(2) at k = 0."""
     k = np.asarray(k, dtype=float)
     if np.any(k < 0.0):
         raise ValueError("group_velocity expects k >= 0")
-    eps = dispersion(k)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        vg = 2.0 * k * (k * k + 1.0) / eps
-    return np.where(k == 0.0, np.sqrt(2.0), vg)
+    return 2.0 * (k * k + 1.0) / np.sqrt(k * k + 2.0)
 
 
 def resonant_wavevector(omega):

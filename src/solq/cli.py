@@ -23,13 +23,14 @@ from .scenarios import (
 
 MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ModelParams))
 
-COMMAND_SCENARIOS = {
-    "rates": ("fig2",),
-    "decay": ("fig3a", "fig3b"),
-    "driven": ("fig4",),
-    "steady": ("fig5b", "fig5a"),
-    "gpe-boundstates": ("figS1",),
-    "gpe-multisoliton": ("figS3",),
+# command: (help, presets); the first preset is the default
+COMMANDS = {
+    "rates": ("collective emission rates vs qubit separation", ("fig2",)),
+    "decay": ("undriven decay of the one-excitation state", ("fig3a", "fig3b")),
+    "driven": ("driven time evolution from the ground state", ("fig4",)),
+    "steady": ("driven steady-state concurrence sweeps", ("fig5b", "fig5a")),
+    "gpe-boundstates": ("impurity orbitals in a frozen soliton", ("figS1",)),
+    "gpe-multisoliton": ("soliton-chain stability in a box", ("figS3",)),
 }
 
 
@@ -48,26 +49,14 @@ def parse_config(path: str) -> dict:
     return out
 
 
-def _model_value(key: str, value: str):
-    """One model key's value: wannier_convention is a name, every other key a number."""
-    return parse_value(key, value, str if key == "wannier_convention" else float)
-
-
-def _split_config(cfg: dict) -> tuple[dict, dict]:
-    """Partition config entries into model kwargs and scenario settings."""
-    model_kwargs = {k: _model_value(k, v) for k, v in cfg.items() if k in MODEL_KEYS}
-    settings = {k: v for k, v in cfg.items() if k not in MODEL_KEYS}
-    return model_kwargs, settings
-
-
-def _add_common(sub: argparse.ArgumentParser, scenarios) -> None:
-    sub.add_argument(
-        "--scenario", choices=scenarios, default=scenarios[0],
-        help=f"preset to run (default {scenarios[0]})",
-    )
-    sub.add_argument("--config", help="key=value parameter file")
-    sub.add_argument("--out", default=".", help="output directory (default .)")
-    sub.add_argument("--points", type=int, help="override sweep/grid resolution")
+def _read_config(path: str | None) -> tuple[ModelParams, dict]:
+    """The model a config file sets, and its other keys (values as given)."""
+    cfg = parse_config(path) if path else {}
+    model = {
+        k: parse_value(k, v, str if k == "wannier_convention" else float)
+        for k, v in cfg.items() if k in MODEL_KEYS
+    }
+    return ModelParams(**model), {k: v for k, v in cfg.items() if k not in MODEL_KEYS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,17 +65,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Soliton-qubit dissipative entanglement datasets",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "rates": "collective emission rates vs qubit separation",
-        "decay": "undriven decay of the one-excitation state",
-        "driven": "driven time evolution from the ground state",
-        "steady": "driven steady-state concurrence sweeps",
-        "gpe-boundstates": "impurity orbitals in a frozen soliton",
-        "gpe-multisoliton": "soliton-chain stability in a box",
-    }
-    for command, scenarios in COMMAND_SCENARIOS.items():
-        sub = subparsers.add_parser(command, help=descriptions[command])
-        _add_common(sub, scenarios)
+    for command, (help_text, scenarios) in COMMANDS.items():
+        sub = subparsers.add_parser(command, help=help_text)
+        sub.add_argument(
+            "--scenario", choices=scenarios, default=scenarios[0],
+            help=f"preset to run (default {scenarios[0]})",
+        )
+        sub.add_argument("--config", help="key=value parameter file")
+        sub.add_argument("--out", default=".", help="output directory (default .)")
+        sub.add_argument("--points", type=int, help="override sweep/grid resolution")
         settable = sorted({k for s in scenarios for k in PRESETS[s].settings})
         if settable:
             sub.epilog = "config keys: " + ", ".join(MODEL_KEYS + tuple(settable))
@@ -97,9 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_dataset(args) -> int:
-    cfg = parse_config(args.config) if args.config else {}
-    model_kwargs, settings = _split_config(cfg)
-    params = ModelParams(**model_kwargs)
+    params, settings = _read_config(args.config)
     scenario = Scenario(
         name=args.scenario,
         params=params,
@@ -113,11 +98,9 @@ def _run_dataset(args) -> int:
 
 
 def _run_validate(args) -> int:
-    cfg = parse_config(args.config) if args.config else {}
-    model_kwargs, others = _split_config(cfg)
+    params, others = _read_config(args.config)
     if others:
         raise ValueError(f"config key {next(iter(others))!r} is not a model parameter")
-    params = ModelParams(**model_kwargs)
     report, ok = validate_report(params, d_check=args.d)
     for key, value in report.items():
         print(f"{key}={format_value(value)}")

@@ -151,35 +151,22 @@ def _build_fig2(sc: Scenario) -> list[Path]:
     return _emit(sc, header, rows, {"d_min": 0.0, "d_max": 10.0})
 
 
-def _time_grid(sc: Scenario) -> np.ndarray:
-    """points times evenly spaced over [0, t_final], checked as the user gave them."""
+def _time_series(sc: Scenario, d: float, initial: str, drive=DriveParams()):
+    """Rates at d, the trajectory from `initial` at points times evenly spaced
+    over [0, t_final] (checked as the user gave them), and its concurrences."""
     t_final = sc.settings["t_final"]
     if sc.points < 2:
         raise ValueError(f"--points must be at least 2 for a time series, got {sc.points}")
     if t_final <= 0.0:
         raise ValueError(f"config key 't_final' must be positive, got {t_final!r}")
-    return np.linspace(0.0, t_final, sc.points)
-
-
-def _decay_concurrence(sc, d_list, t_grid):
-    """Evolved and closed-form concurrence for the one-excitation start."""
-    state0 = basis_state("eg")
-    numeric = []
-    formula = []
-    for d in d_list:
-        r = rate_set(d, sc.params)
-        traj = evolve(state0, r, t_grid)
-        numeric.append([concurrence(s).value for s in traj.states])
-        formula.append(undriven_concurrence_formula(r, t_grid))
-    return numeric, formula
+    r = rate_set(d, sc.params)
+    traj = evolve(basis_state(initial), r, np.linspace(0.0, t_final, sc.points), drive)
+    return r, traj, [concurrence(s).value for s in traj.states]
 
 
 def _build_fig3a(sc: Scenario) -> list[Path]:
     """Entanglement decay after exciting one qubit, d = 1 and 2.5."""
-    t_final = sc.settings["t_final"]
-    t_grid = _time_grid(sc)
-    d_list = (1.0, 2.5)
-    numeric, formula = _decay_concurrence(sc, d_list, t_grid)
+    (r_1, traj, c_1), (r_2p5, _, c_2p5) = (_time_series(sc, d, "eg") for d in (1.0, 2.5))
     header = [
         "t_gamma",
         "concurrence_d_1xi",
@@ -187,21 +174,20 @@ def _build_fig3a(sc: Scenario) -> list[Path]:
         "formula_d_1xi",
         "formula_d_2p5xi",
     ]
-    rows = list(zip(t_grid, numeric[0], numeric[1], formula[0], formula[1]))
-    return _emit(sc, header, rows, {"initial_state": "eg", "t_final": t_final})
+    t = traj.times
+    rows = list(zip(t, c_1, c_2p5, undriven_concurrence_formula(r_1, t),
+                    undriven_concurrence_formula(r_2p5, t)))
+    return _emit(sc, header, rows, {"initial_state": "eg", "t_final": sc.settings["t_final"]})
 
 
 def _build_fig3b(sc: Scenario) -> list[Path]:
     """Collective-basis populations during the same decay."""
     t_final, d = sc.settings["t_final"], sc.settings["d"]
-    t_grid = _time_grid(sc)
-    r = rate_set(d, sc.params)
-    traj = evolve(basis_state("eg"), r, t_grid)
+    _, traj, conc = _time_series(sc, d, "eg")
     header = ["t_gamma", "rho_ee", "rho_ss", "rho_aa", "rho_gg", "concurrence"]
     dicke = dicke_transform(np.array([state.matrix for state in traj.states]))
     pops = np.diagonal(dicke, axis1=1, axis2=2).real
-    conc = [concurrence(state).value for state in traj.states]
-    rows = [(t, *p, c) for t, p, c in zip(t_grid, pops.tolist(), conc)]
+    rows = [(t, *p, c) for t, p, c in zip(traj.times, pops.tolist(), conc)]
     return _emit(sc, header, rows, {"initial_state": "eg", "d": d, "t_final": t_final})
 
 
@@ -212,13 +198,10 @@ def _build_fig4(sc: Scenario) -> list[Path]:
     header = ["t_gamma"] + [f"concurrence_omega_{format_value(om)}" for om in omegas]
     if header[1] == header[2]:
         raise ValueError(f"omega_1 and omega_2 give one column name, {header[1]}")
-    t_grid = _time_grid(sc)
-    r = rate_set(d, sc.params)
-    cols = []
-    for om in omegas:
-        traj = evolve(basis_state(initial), r, t_grid, drive=DriveParams(omega_rabi=om))
-        cols.append([concurrence(s).value for s in traj.states])
-    rows = list(zip(t_grid, cols[0], cols[1]))
+    (_, traj, c_1), (_, _, c_2) = (
+        _time_series(sc, d, initial, DriveParams(omega_rabi=om)) for om in omegas
+    )
+    rows = list(zip(traj.times, c_1, c_2))
     return _emit(
         sc, header, rows,
         {"initial_state": initial, "d": d, "omega_1": omegas[0], "omega_2": omegas[1]},

@@ -8,12 +8,12 @@ import pytest
 
 import solq
 from solq import scenarios
-from solq.cli import main, parse_config
+from solq.cli import COMMANDS, build_parser, main, parse_config
 from solq.couplings import _table, rate_set
 from solq.dynamics import DriveParams
 from solq.gpe import Grid1D
 from solq.model import ModelParams
-from solq.scenarios import Scenario
+from solq.scenarios import PRESETS, Scenario, format_value
 
 
 def read_csv(path):
@@ -177,6 +177,40 @@ def test_nonpositive_points_exit_2(tmp_path, capsys, command, points):
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_table_sets_defaults_and_choices(capsys, command):
+    presets = COMMANDS[command][1]
+    assert build_parser().parse_args([command]).scenario == presets[0]
+    for name in PRESETS:
+        if name in presets:
+            assert build_parser().parse_args([command, "--scenario", name]).scenario == name
+        else:
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--scenario", name])
+
+
+def test_command_table_pins():
+    assert COMMANDS["steady"][1][0] == "fig5b"
+    assert COMMANDS["decay"][1][0] == "fig3a"
+    # every preset is reachable from exactly one command
+    named = [name for _, presets in COMMANDS.values() for name in presets]
+    assert sorted(named) == sorted(PRESETS)
+
+
+def test_config_model_keys_reach_the_dataset(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nu=0.7\nmass_ratio=1.4\nn0_xi=40\nwannier_convention=eigenstate\n")
+    code = main(["rates", "--points", "2", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 0
+    meta = read_meta(tmp_path / "fig2.meta")
+    assert (meta["nu"], meta["mass_ratio"], meta["n0_xi"], meta["wannier_convention"]) == (
+        "0.7", "1.4", "40", "eigenstate")
+    params = ModelParams(nu=0.7, mass_ratio=1.4, n0_xi=40.0, wannier_convention="eigenstate")
+    gamma = (tmp_path / "fig2.csv").read_text().splitlines()[1].split(",")[1]
+    assert gamma == format_value(rate_set(0.0, params).gamma)
+    assert gamma != format_value(rate_set(0.0, ModelParams()).gamma)
 
 
 def test_bad_scenario_choice_is_an_argparse_error(capsys):

@@ -1,0 +1,34 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+import solq
+
+SOURCES = sorted(Path(solq.__file__).parent.glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_guard_sees_an_unused_import():
+    source = "import os\nimport sys\nfrom math import pi, tau\nprint(sys.argv, tau)\n"
+    assert unused_imports(source) == ["os (line 1)", "pi (line 3)"]
+    assert unused_imports("import os.path\nos.path.join('a')\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []
