@@ -14,8 +14,6 @@ numerically.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import ModelParams, wannier_alpha
 
 _COUNT_EPS = 1e-12  # keeps the exact lower window edge nu = 1/3 inside
@@ -63,14 +61,6 @@ class WannierPair:
     alpha: float
     a0: float
     a1: float
-
-    def phi0(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.a0 * np.cosh(x) ** (-self.alpha)
-
-    def phi1(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.a1 * np.tanh(x) * self.phi0(x)
 
 
 def wannier_pair(params: ModelParams) -> WannierPair:

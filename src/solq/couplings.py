@@ -257,44 +257,33 @@ def coupling_amplitude(l, m, k, params: ModelParams):
 
 @dataclass(frozen=True)
 class RwaReport:
-    """Weak-coupling sanity numbers: amplitude hierarchy and rate scales."""
+    """Weak-coupling sanity numbers: rate scales and amplitude hierarchy."""
 
+    gamma: float
+    gamma_over_omega0: float
     g01_abs: float
     g00_over_g01: float
     g11_over_g01: float
-    gamma: float
-    gamma_over_omega0: float
-    valid: bool
 
 
 def rwa_report(params: ModelParams) -> RwaReport:
     """Report the hierarchy that justifies the two-level/rotating-wave model.
 
     At the resonant mode the interband amplitude should dominate both
-    intraband ones, and gamma should sit far below the qubit gap. Only
-    `valid` is a verdict, and it means no more than a positive gap, which
-    needs nu > 1/2 and so a nonzero coupling: the amplitude ratios g00/g01
-    and g11/g01 are reported, not gated (a gate waits for a benchmark whose
-    seeded parameters meet it). A gap of zero or less (nu <= 1/2, including
-    the uncoupled nu = 0) yields NaN fields and valid = False.
+    intraband ones, and gamma should sit far below the qubit gap. Nothing
+    here is a verdict: the amplitude ratios g00/g01 and g11/g01 are reported,
+    not gated (a gate waits for a benchmark whose seeded parameters meet it).
+    Like `rate_set`, raises ValueError when there is no positive gap
+    (nu <= 1/2, including the uncoupled nu = 0).
     """
-    w0 = qubit_gap(params)
-    if w0 <= 0.0:
-        nan = float("nan")
-        return RwaReport(
-            g01_abs=nan, g00_over_g01=nan, g11_over_g01=nan,
-            gamma=nan, gamma_over_omega0=nan, valid=False,
-        )
-    k0 = float(resonant_wavevector(w0))
-    g00 = abs(coupling_amplitude(0, 0, k0, params))
-    g01 = abs(coupling_amplitude(0, 1, k0, params))
-    g11 = abs(coupling_amplitude(1, 1, k0, params))
-    gamma = rate_set(0.0, params).gamma
+    rates = rate_set(0.0, params)
+    g00, g01, g11 = (
+        abs(coupling_amplitude(l, m, rates.k0, params)) for l, m in ((0, 0), (0, 1), (1, 1))
+    )
     return RwaReport(
+        gamma=rates.gamma,
+        gamma_over_omega0=rates.gamma / qubit_gap(params),
         g01_abs=g01,
         g00_over_g01=g00 / g01,
         g11_over_g01=g11 / g01,
-        gamma=gamma,
-        gamma_over_omega0=gamma / w0,
-        valid=True,
     )

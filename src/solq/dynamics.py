@@ -27,8 +27,8 @@ takes no square root of eigenvalue noise.
 One basis. Every matrix is in the product (computational) basis, order ee,
 eg, ge, gg. The collective (Dicke) basis e, s, a, g with
 |s>, |a> = (|e1 g2> +- |g1 e2>)/sqrt(2) is a change of coordinates: the real,
-symmetric, involutory U of `dicke_transform`. `basis_state` and `element`
-read Dicke labels through it.
+symmetric, involutory U of `dicke_transform`. `basis_state` reads Dicke
+labels through it.
 """
 
 import math
@@ -118,20 +118,13 @@ class DensityMatrix4:
             states.append(state)
         return tuple(states)
 
-    def element(self, row_label: str, col_label: str) -> complex:
-        """<row| rho |col> for product (ee, ...) or Dicke (e, s, a, g) labels."""
-        return complex(_label_vector(row_label) @ self.matrix @ _label_vector(col_label))
-
-
-def _label_vector(label: str) -> np.ndarray:
-    if label not in _LABEL_VECTORS:
-        raise ValueError(f"unknown state label {label!r}")
-    return _LABEL_VECTORS[label]
-
 
 def basis_state(label: str) -> DensityMatrix4:
     """Pure-state density matrix for a product or Dicke basis label."""
-    v = _label_vector(label.lower())
+    label = label.lower()
+    if label not in _LABEL_VECTORS:
+        raise ValueError(f"unknown state label {label!r}")
+    v = _LABEL_VECTORS[label]
     return DensityMatrix4(matrix=np.outer(v, v))
 
 
@@ -197,9 +190,6 @@ class Trajectory:
 
     times: np.ndarray
     states: tuple
-
-    def __iter__(self):
-        return iter(self.states)
 
 
 def _expm1(a: np.ndarray) -> np.ndarray:

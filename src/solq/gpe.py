@@ -114,18 +114,6 @@ class LatticeField:
     def density(self) -> np.ndarray:
         return self.psi.real ** 2 + self.psi.imag ** 2
 
-    def norm_sq(self) -> float:
-        return float(np.sum(self.density()) * self.grid.spacing)
-
-
-def gpe_energy(field: LatticeField) -> float:
-    """Energy functional E = int 1/2|psi_x|^2 + 1/2|psi|^4 + V|psi|^2."""
-    grid = field.grid
-    dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(field.psi))
-    dens = field.density()
-    integrand = 0.5 * np.abs(dpsi) ** 2 + 0.5 * dens ** 2 + grid.wall_potential() * dens
-    return float(np.sum(integrand) * grid.spacing)
-
 
 def _real_k(grid):
     """Wavenumbers of the real FFT of a field on the grid."""

@@ -11,7 +11,7 @@ once; `Scenario` checks a caller's settings against it.
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -129,14 +129,13 @@ def run_scenario(sc: Scenario) -> list[Path]:
     return PRESETS[sc.name].build(sc)
 
 
-def _emit(sc: Scenario, header, rows, extra_meta=None) -> list[Path]:
+def _emit(sc: Scenario, header, rows, derived=None) -> list[Path]:
+    """Write the CSV and its `.meta`: the model and columns, every setting in
+    `PRESETS` order, then the builder's derived keys."""
     csv_path = sc.out_dir / f"{sc.name}.csv"
     meta_path = sc.out_dir / f"{sc.name}.meta"
     write_csv(csv_path, header, rows)
-    meta = _base_meta(sc, header)
-    if extra_meta:
-        meta.update(extra_meta)
-    write_meta(meta_path, meta)
+    write_meta(meta_path, {**_base_meta(sc, header), **sc.settings, **(derived or {})})
     return [csv_path, meta_path]
 
 
@@ -177,18 +176,17 @@ def _build_fig3a(sc: Scenario) -> list[Path]:
     t = traj.times
     rows = list(zip(t, c_1, c_2p5, undriven_concurrence_formula(r_1, t),
                     undriven_concurrence_formula(r_2p5, t)))
-    return _emit(sc, header, rows, {"initial_state": "eg", "t_final": sc.settings["t_final"]})
+    return _emit(sc, header, rows, {"initial_state": "eg"})
 
 
 def _build_fig3b(sc: Scenario) -> list[Path]:
     """Collective-basis populations during the same decay."""
-    t_final, d = sc.settings["t_final"], sc.settings["d"]
-    _, traj, conc = _time_series(sc, d, "eg")
+    _, traj, conc = _time_series(sc, sc.settings["d"], "eg")
     header = ["t_gamma", "rho_ee", "rho_ss", "rho_aa", "rho_gg", "concurrence"]
     dicke = dicke_transform(np.array([state.matrix for state in traj.states]))
     pops = np.diagonal(dicke, axis1=1, axis2=2).real
     rows = [(t, *p, c) for t, p, c in zip(traj.times, pops.tolist(), conc)]
-    return _emit(sc, header, rows, {"initial_state": "eg", "d": d, "t_final": t_final})
+    return _emit(sc, header, rows, {"initial_state": "eg"})
 
 
 def _build_fig4(sc: Scenario) -> list[Path]:
@@ -202,10 +200,7 @@ def _build_fig4(sc: Scenario) -> list[Path]:
         _time_series(sc, d, initial, DriveParams(omega_rabi=om)) for om in omegas
     )
     rows = list(zip(traj.times, c_1, c_2))
-    return _emit(
-        sc, header, rows,
-        {"initial_state": initial, "d": d, "omega_1": omegas[0], "omega_2": omegas[1]},
-    )
+    return _emit(sc, header, rows)
 
 
 def _build_fig5a(sc: Scenario) -> list[Path]:
@@ -219,7 +214,7 @@ def _build_fig5a(sc: Scenario) -> list[Path]:
         (r.d, r.Gamma_over_gamma, r.eta_over_gamma, steady_concurrence_formula(r, drive))
         for r in rates
     ]
-    return _emit(sc, header, rows, {"omega": omega, "d_min": d_min, "d_max": d_max})
+    return _emit(sc, header, rows)
 
 
 def _build_fig5b(sc: Scenario) -> list[Path]:
@@ -233,18 +228,13 @@ def _build_fig5b(sc: Scenario) -> list[Path]:
     ]
     return _emit(
         sc, header, rows,
-        {
-            "d": d, "omega_max": omega_max,
-            "Gamma_over_gamma": r.Gamma_over_gamma,
-            "eta_over_gamma": r.eta_over_gamma,
-        },
+        {"Gamma_over_gamma": r.Gamma_over_gamma, "eta_over_gamma": r.eta_over_gamma},
     )
 
 
 def _build_figS1(sc: Scenario) -> list[Path]:
     """Impurity orbitals in a single frozen soliton, against the analytic ladder."""
-    length = sc.settings["box_length"]
-    grid = Grid1D(points=sc.points, length=length, boundary=Boundary.BOX)
+    grid = Grid1D(points=sc.points, length=sc.settings["box_length"], boundary=Boundary.BOX)
     sol = imprint_solitons(grid, [0.0])
     states = relax_impurity(sol, sc.params)
     ladder = pt_spectrum(sc.params)
@@ -252,18 +242,16 @@ def _build_figS1(sc: Scenario) -> list[Path]:
     rows = list(
         zip(grid.x, sol.density(), states.phi0.psi.real, states.phi1.psi.real)
     )
-    extra = {
-        "box_length": length,
+    return _emit(sc, header, rows, {
         "grid_points": sc.points,
         "energy_0": states.energies[0],
         "energy_1": states.energies[1],
         "bound_0": states.bound[0],
         "bound_1": states.bound[1],
-        "analytic_energy_0": ladder.energies[0] if ladder.count > 0 else float("nan"),
+        "analytic_energy_0": ladder.energies[0],
         "analytic_energy_1": ladder.energies[1] if ladder.count > 1 else float("nan"),
         "analytic_count": ladder.count,
-    }
-    return _emit(sc, header, rows, extra)
+    })
 
 
 def _build_figS3(sc: Scenario) -> list[Path]:
@@ -279,18 +267,13 @@ def _build_figS3(sc: Scenario) -> list[Path]:
     rows = [
         (tracks.times[i], *tracks.positions[i]) for i in range(len(tracks.times))
     ]
-    extra = {
-        "count": count,
-        "spacing": spacing,
-        "box_length": box_length,
-        "t_final": t_final,
+    return _emit(sc, header, rows, {
         "xi_um": FIGS3_XI_UM,
         "mu_rad_per_s": FIGS3_MU_RAD_S,
         "box_length_um": box_length * FIGS3_XI_UM,
         "t_final_ms": t_final / FIGS3_MU_RAD_S * 1e3,
         "lost_at": tracks.lost_at if tracks.lost_at is not None else "none",
-    }
-    return _emit(sc, header, rows, extra)
+    })
 
 
 class Preset(NamedTuple):
@@ -329,7 +312,6 @@ def validate_report(params: ModelParams, d_check: float = 2.5) -> tuple[dict, bo
     for the benchmark's seeded parameter box to meet the hierarchy.
     """
     ladder = pt_spectrum(params)
-    rep = rwa_report(params)
     report = {
         "nu": params.nu,
         "mass_ratio": params.mass_ratio,
@@ -337,23 +319,17 @@ def validate_report(params: ModelParams, d_check: float = 2.5) -> tuple[dict, bo
         "qubit_window": "pass" if ladder.qubit_window else "fail",
         "omega0": qubit_gap(params),
     }
-    ok = ladder.qubit_window
-    if rep.valid:
-        report["gamma"] = rep.gamma
-        report["gamma_over_omega0"] = rep.gamma_over_omega0
-        report["g01_abs"] = rep.g01_abs
-        report["g00_over_g01"] = rep.g00_over_g01
-        report["g11_over_g01"] = rep.g11_over_g01
-        report["rwa_valid"] = "pass" if rep.gamma_over_omega0 < 1.0 else "fail"
-        ok = ok and rep.gamma_over_omega0 < 1.0
-        r = rate_set(d_check, params)
-        report["d_check"] = d_check
-        report["Gamma_over_gamma"] = r.Gamma_over_gamma
-        report["eta_over_gamma"] = r.eta_over_gamma
-        bounded = abs(r.Gamma_over_gamma) <= 1.0 + 1e-9
-        report["rates_bounded"] = "pass" if bounded else "fail"
-        ok = ok and bounded
-    else:
+    if report["omega0"] <= 0.0:
         report["rwa_valid"] = "fail"
-        ok = False
-    return report, ok
+        return report, False
+    rep = rwa_report(params)
+    report.update(asdict(rep))
+    rwa_valid = rep.gamma_over_omega0 < 1.0
+    report["rwa_valid"] = "pass" if rwa_valid else "fail"
+    r = rate_set(d_check, params)
+    report["d_check"] = d_check
+    report["Gamma_over_gamma"] = r.Gamma_over_gamma
+    report["eta_over_gamma"] = r.eta_over_gamma
+    bounded = abs(r.Gamma_over_gamma) <= 1.0 + 1e-9
+    report["rates_bounded"] = "pass" if bounded else "fail"
+    return report, ladder.qubit_window and rwa_valid and bounded

@@ -1,9 +1,11 @@
-"""Closed forms of the two-qubit model, kept as test oracles.
+"""Closed forms of the two-qubit model, kept as test oracles, and the
+observables that only tests read (matrix elements, orbital profiles, field
+norm and energy).
 
-Every function here works on product-basis arrays (order ee, eg, ge, gg), the
-basis of `solq.dynamics`. States that the closed forms describe in the Dicke
-basis (e, s, a, g with |s>, |a> = (|e1 g2> +- |g1 e2>)/sqrt(2)) are rotated
-into it with this module's own U_DICKE.
+Every two-qubit function here works on product-basis arrays (order ee, eg,
+ge, gg), the basis of `solq.dynamics`. States that the closed forms describe
+in the Dicke basis (e, s, a, g with |s>, |a> = (|e1 g2> +- |g1 e2>)/sqrt(2))
+are rotated into it with this module's own U_DICKE.
 """
 
 import math
@@ -11,14 +13,26 @@ from typing import NamedTuple
 
 import numpy as np
 
+from solq.boundstates import WannierPair
 from solq.couplings import RateSet
-from solq.dynamics import DriveParams, _check_rates, build_liouvillian
+from solq.dynamics import (
+    DICKE_LABELS, PRODUCT_LABELS, DensityMatrix4, DriveParams, _check_rates, build_liouvillian,
+)
+from solq.gpe import LatticeField
 
 # product order ee, eg, ge, gg to Dicke order e, s, a, g; its own inverse
 U_DICKE = np.eye(4)
 U_DICKE[1:3, 1:3] = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
+# each label's state vector in the product basis
+LABEL_VECTORS = dict(zip(PRODUCT_LABELS, np.eye(4))) | dict(zip(DICKE_LABELS, U_DICKE))
+
 X_SHAPE_TOL = 1e-10
+
+
+def element(state: DensityMatrix4, row_label: str, col_label: str) -> complex:
+    """<row| rho |col> for product (ee, ...) or Dicke (e, s, a, g) labels."""
+    return complex(LABEL_VECTORS[row_label] @ state.matrix @ LABEL_VECTORS[col_label])
 
 
 def _from_dicke(ee, ss, aa, sa) -> np.ndarray:
@@ -153,3 +167,27 @@ def concurrence_closed_forms(rho: np.ndarray) -> ClosedFormConcurrence:
         c_outer=2.0 * (abs(rho[0, 3]) - math.sqrt(max(p[1, 1] * p[2, 2], 0.0))),
         c_inner=2.0 * (abs(rho[1, 2]) - math.sqrt(max(p[0, 0] * p[3, 3], 0.0))),
     )
+
+
+def phi0(pair: WannierPair, x):
+    """The even orbital A0 sech^alpha(x)."""
+    return pair.a0 * np.cosh(np.asarray(x, dtype=float)) ** (-pair.alpha)
+
+
+def phi1(pair: WannierPair, x):
+    """The odd orbital A1 tanh(x) phi0(x)."""
+    return pair.a1 * np.tanh(x) * phi0(pair, x)
+
+
+def norm_sq(field: LatticeField) -> float:
+    """int |psi|^2 on the field's grid."""
+    return float(np.sum(field.density()) * field.grid.spacing)
+
+
+def gpe_energy(field: LatticeField) -> float:
+    """Energy functional E = int 1/2|psi_x|^2 + 1/2|psi|^4 + V|psi|^2."""
+    grid = field.grid
+    dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(field.psi))
+    dens = field.density()
+    integrand = 0.5 * np.abs(dpsi) ** 2 + 0.5 * dens ** 2 + grid.wall_potential() * dens
+    return float(np.sum(integrand) * grid.spacing)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import phi0, phi1
 from solq.boundstates import level_count, pt_spectrum, wannier_pair
 from solq.model import ExponentConvention, ModelParams
 
@@ -48,8 +49,8 @@ def test_qubit_window_flag_tracks_count():
 def test_orbitals_are_normalized():
     for conv in ExponentConvention:
         pair = wannier_pair(ModelParams(wannier_convention=conv))
-        n0, _ = quad(lambda y: pair.phi0(y) ** 2, -40.0, 40.0)
-        n1, _ = quad(lambda y: pair.phi1(y) ** 2, -40.0, 40.0)
+        n0, _ = quad(lambda y: phi0(pair, y) ** 2, -40.0, 40.0)
+        n1, _ = quad(lambda y: phi1(pair, y) ** 2, -40.0, 40.0)
         assert abs(n0 - 1.0) < 1e-10
         assert abs(n1 - 1.0) < 1e-10
 
@@ -87,9 +88,9 @@ def test_default_pair_values():
 def test_phi1_sign_and_node():
     pair = wannier_pair(ModelParams())
     x = np.linspace(1e-3, 8.5, 200)
-    assert np.all(pair.phi1(x) > 0.0)
-    assert np.all(pair.phi1(-x) < 0.0)
-    assert abs(pair.phi1(0.0)) < 1e-15
+    assert np.all(phi1(pair, x) > 0.0)
+    assert np.all(phi1(pair, -x) < 0.0)
+    assert abs(phi1(pair, 0.0)) < 1e-15
 
 
 def test_rejects_zero_alpha():

@@ -13,7 +13,7 @@ from solq.couplings import _table, rate_set
 from solq.dynamics import DriveParams
 from solq.gpe import Grid1D
 from solq.model import ModelParams
-from solq.scenarios import PRESETS, Scenario, format_value
+from solq.scenarios import PRESETS, Scenario, format_value, parse_value
 
 
 def read_csv(path):
@@ -163,22 +163,6 @@ def test_cli_import_leaves_out_scipy():
     assert out.strip() == "False"
 
 
-@pytest.mark.parametrize(
-    ("command", "points"),
-    [("rates", "0"), ("rates", "-3"), ("decay", "1")],
-    ids=["0", "-3", "decay-1"],
-)
-def test_nonpositive_points_exit_2(tmp_path, capsys, command, points):
-    # 0 must not fall back to the preset's default resolution, and a time
-    # series needs two points
-    code = main([command, "--points", points, "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert len(err.splitlines()) == 1
-    assert not list(tmp_path.rglob("*.csv"))
-
-
 @pytest.mark.parametrize("command", COMMANDS)
 def test_command_table_sets_defaults_and_choices(capsys, command):
     presets = COMMANDS[command][1]
@@ -231,6 +215,20 @@ def test_validate_defaults_pass(capsys):
     assert abs(float(report["omega0"]) - 0.16025641025641024) < 1e-12
 
 
+@pytest.mark.parametrize("nu", ["0.4", "0.5"])
+def test_validate_without_a_gap_stops_at_rwa(tmp_path, capsys, nu):
+    # omega0 <= 0 (nu <= 1/2): no rates to report, and the gap check fails
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"nu={nu}\n")
+    code = main(["validate", "--config", str(cfg)])
+    report = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert code == 1
+    assert list(report) == ["nu", "mass_ratio", "level_count", "qubit_window", "omega0",
+                            "rwa_valid"]
+    assert report["nu"] == nu and float(report["omega0"]) <= 0.0
+    assert report["rwa_valid"] == "fail"
+
+
 def test_validate_flags_crowded_window(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("nu=0.9\n")
@@ -238,6 +236,37 @@ def test_validate_flags_crowded_window(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "qubit_window=fail" in out
+
+
+# a small run of each preset, with every setting moved off its default
+META_RUNS = {
+    "fig2": (["--points", "2"], {}),
+    "fig3a": (["--points", "3"], {"t_final": "2"}),
+    "fig3b": (["--points", "3"], {"t_final": "2", "d": "1.5"}),
+    "fig4": (["--points", "3"], {"t_final": "2", "d": "2", "omega_1": "0.3",
+                                 "omega_2": "0.4", "initial_state": "eg"}),
+    "fig5a": (["--points", "2"], {"omega": "0.3", "d_min": "2", "d_max": "3"}),
+    "fig5b": (["--points", "3"], {"d": "2", "omega_max": "1"}),
+    "figS1": (["--points", "256"], {"box_length": "30"}),
+    "figS3": ([], {"count": "2", "spacing": "10", "box_length": "40", "t_final": "1"}),
+}
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_meta_records_every_setting(tmp_path, capsys, name):
+    flags, settings = META_RUNS[name]
+    defaults = PRESETS[name].settings
+    assert settings.keys() == defaults.keys()
+    (tmp_path / "run.cfg").write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+    command = next(c for c, (_, presets) in COMMANDS.items() if name in presets)
+    argv = [command, "--scenario", name, "--config", str(tmp_path / "run.cfg"),
+            "--out", str(tmp_path)]
+    assert main(argv + flags) == 0
+    meta = read_meta(tmp_path / f"{name}.meta")
+    for key, text in settings.items():
+        value = parse_value(key, text, type(defaults[key]))
+        assert value != defaults[key]
+        assert meta[key] == format_value(value), key
 
 
 def test_rates_dataset(tmp_path, capsys):

@@ -297,10 +297,8 @@ def test_rwa_report_hierarchy():
     assert abs(r.gamma_over_omega0 - 0.0003071779520791162) < 1e-8
     assert r.g00_over_g01 < 1.0
     assert r.g11_over_g01 < 1.0
-    assert r.valid
 
 
 def test_rwa_report_degenerate_coupling():
-    r = rwa_report(ModelParams(nu=0.0))
-    assert not r.valid
-    assert math.isnan(r.g01_abs)
+    with pytest.raises(ValueError, match="no qubit splitting"):
+        rwa_report(ModelParams(nu=0.0))
