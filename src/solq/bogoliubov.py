@@ -1,15 +1,11 @@
 """Bogoliubov excitations of the background condensate.
 
-Dispersion and group velocity of the phonon reservoir, plus the local-density
-mode functions around a soliton: plane waves dressed by soliton-shaped
-envelopes. Wavenumbers are in 1/xi, energies in mu.
+Dispersion and group velocity of the phonon reservoir, plus the envelope
+brackets of the local-density mode functions around a soliton (plane waves
+dressed by soliton-shaped envelopes). Wavenumbers are in 1/xi, energies in mu.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-K_MIN = 1e-4  # below this the mode functions are numerically singular
 
 
 def dispersion(k):
@@ -57,37 +53,3 @@ def mode_bracket(k, th, ssq):
         (k * k + 2.0 * eps) / eps * common + tail,
         (k * k - 2.0 * eps) / eps * common + tail,
     )
-
-
-@dataclass(frozen=True)
-class BogoliubovMode:
-    """u/v envelope pair of one reservoir mode around a soliton at x = 0."""
-
-    k: float
-    u: np.ndarray
-    v: np.ndarray
-
-
-def mode_amplitudes(k: float, x) -> BogoliubovMode:
-    """Local-density u_k, v_k profiles on the grid x.
-
-    u_k(x) = e^{ikx} sqrt(1/4pi) (1/eps) [(k^2 + 2 eps)(k/2 + i tanh) + k sech^2],
-    v_k(x) = e^{-ikx} sqrt(1/4pi) (1/eps) [(k^2 - 2 eps)(k/2 + i tanh) + k sech^2],
-
-    with tanh/sech taken at x. These are envelope approximations and are
-    not normalized: far from the core |u|^2 - |v|^2 tends to
-    2k^2(k^2 + 4)/(4 pi eps(k)), not 1 (0.045 at k = 0.1, 3.0 at k = 4).
-    Gamma/gamma is a ratio at one k, so the factor cancels there; eta/gamma
-    integrates over k, so it does not (ROADMAP item 1).
-    """
-    k = float(k)
-    if k <= 0.0:
-        raise ValueError("mode_amplitudes needs k > 0 (k = 0 mode is singular)")
-    if k < K_MIN:
-        raise ValueError(f"k = {k} below the supported minimum {K_MIN}")
-    x = np.asarray(x, dtype=float)
-    bu, bv = mode_bracket(k, np.tanh(x), 1.0 / np.cosh(x) ** 2)
-    pref = np.sqrt(1.0 / (4.0 * np.pi))
-    u = np.exp(1j * k * x) * pref * bu
-    v = np.exp(-1j * k * x) * pref * bv
-    return BogoliubovMode(k=k, u=u, v=v)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .bogoliubov import group_velocity, mode_bracket, resonant_wavevector
 from .boundstates import wannier_pair
-from .model import ModelParams, chi_over_g, qubit_gap, wannier_alpha
+from .model import ModelParams, chi_over_g, qubit_gap
 
 Y_HALF = 40.0          # spatial support half-width of the trapezoid sums, in xi
 N_Y = 501              # samples of D_k across [-Y_HALF, Y_HALF]; D_k is analytic
@@ -61,10 +61,10 @@ def _coupling_density(k, y, alpha, tanh_power):
     return th ** tanh_power * sech ** (2.0 * alpha) * (bu * phase + bv * phase.conj())
 
 
-def _spectral_power(karr, alpha, n_y=N_Y, y_half=Y_HALF):
+def _spectral_power(karr, alpha, n_y):
     """Folded power spectra of D_k: returns q >= 0 and P with C12 = P @ cos(q |d|).
 
-    D_k(y) is sampled on n_y points of [-y_half, y_half] and zero-padded to the
+    D_k(y) is sampled on n_y points of [-Y_HALF, Y_HALF] and zero-padded to the
     next power of two >= 2 n_y, so the circular autocorrelation of the samples
     is the linear one (Wiener-Khinchin) and equals the trapezoid sum of
     Re D_k(y) D_k*(y - d) at every grid lag. P[k, q] = |FFT D_k|^2 dy/nfft with
@@ -73,7 +73,7 @@ def _spectral_power(karr, alpha, n_y=N_Y, y_half=Y_HALF):
     which is exponentially small here.
     """
     karr = np.atleast_1d(np.asarray(karr, dtype=float))
-    y = np.linspace(-y_half, y_half, n_y)
+    y = np.linspace(-Y_HALF, Y_HALF, n_y)
     dy = y[1] - y[0]
     nfft = 1 << (2 * n_y - 1).bit_length()
     half = nfft // 2
@@ -90,9 +90,9 @@ def _spectral_power(karr, alpha, n_y=N_Y, y_half=Y_HALF):
     return q, power
 
 
-def correlation_panel(karr, d, alpha, n_y=N_Y, y_half=Y_HALF):
+def correlation_panel(karr, d, alpha, n_y=N_Y):
     """C12(k; d) = Re int dy D_k(y) D_k*(y - d) for every k in karr."""
-    q, power = _spectral_power(karr, alpha, n_y, y_half)
+    q, power = _spectral_power(karr, alpha, n_y)
     return power @ np.cos(q * abs(d))
 
 
@@ -188,21 +188,31 @@ def _table(alpha, w0, n_y, n_omega):
     return wgrid, karr, vgw, q, power
 
 
-def rate_set(d: float, params: ModelParams, n_y=N_Y, n_omega=N_OMEGA) -> RateSet:
+def _prefactor(params: ModelParams, p: int):
+    """chi/g n0^(-1/2) A0^2 A1^p of an orbital-pair amplitude, and the pair.
+
+    p counts the phi1 factors: 1 for D_k (phi0 phi1), l + m for g_lm.
+    """
+    pair = wannier_pair(params)
+    return chi_over_g(params) / math.sqrt(params.n0_xi) * pair.a0 ** 2 * pair.a1 ** p, pair
+
+
+def rate_set(d: float, params: ModelParams) -> RateSet:
     """Collective rates for two soliton qubits a distance d apart.
 
     gamma is reported in mu/hbar with the reservoir quantization length fixed
     to xi (only the ratios enter the dynamics). Even in d by construction.
+    The table is sized by N_Y and N_OMEGA as they stand at the call.
     """
     w0 = qubit_gap(params)
     if w0 <= 0.0:
         raise ValueError(f"no qubit splitting at nu = {params.nu}; need nu > 1/2")
-    alpha = wannier_alpha(params)
+    pref, pair = _prefactor(params, 1)
     d = abs(float(d))
     if not d < math.inf:
         raise ValueError(f"separation d must be finite, got {d}")
     with _TABLE_LOCK:  # concurrent sweep workers build a missing table once
-        wgrid, karr, vgw, q, power = _table(alpha, w0, n_y, n_omega)
+        wgrid, karr, vgw, q, power = _table(pair.alpha, w0, N_Y, N_OMEGA)
     k0 = float(karr[0])
     vg0 = float(group_velocity(k0))
 
@@ -217,9 +227,6 @@ def rate_set(d: float, params: ModelParams, n_y=N_Y, n_omega=N_OMEGA) -> RateSet
     f0 = c12 / vg0
     pv = principal_value_integral(f, f0, wgrid, w0, wmax)
     eta_over_gamma = pv * vg0 / (4.0 * math.pi * c11)
-
-    pair = wannier_pair(params)
-    pref = chi_over_g(params) / math.sqrt(params.n0_xi) * pair.a0 ** 2 * pair.a1
     gamma = 2.0 * pref ** 2 * c11 / (4.0 * math.pi * vg0)
 
     return RateSet(
@@ -243,16 +250,10 @@ def coupling_amplitude(l, m, k, params: ModelParams):
     k = float(k)
     if not 0.0 < k < math.inf:
         raise ValueError(f"coupling_amplitude needs a finite k > 0, got {k}")
-    pair = wannier_pair(params)
-    pref = (
-        chi_over_g(params)
-        / math.sqrt(params.n0_xi)
-        * pair.a0 ** 2 * pair.a1 ** (l + m)
-        * math.sqrt(1.0 / (4.0 * math.pi))
-    )
+    pref, pair = _prefactor(params, l + m)
     y = np.linspace(-Y_HALF, Y_HALF, N_Y)
     density = _coupling_density(k, y, pair.alpha, l + m + 1)
-    return pref * complex(np.trapezoid(density, y))
+    return pref * math.sqrt(1.0 / (4.0 * math.pi)) * complex(np.trapezoid(density, y))
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,9 @@ class ConcurrenceResult:
     value: float
 
 
-def concurrence(state) -> ConcurrenceResult:
-    """Spin-flip concurrence of a density matrix.
-
-    Accepts a DensityMatrix4 or a raw 4x4 product-basis array (validated).
-    The value is the one computed when the state was validated.
-    """
-    if not isinstance(state, DensityMatrix4):
-        state = DensityMatrix4(matrix=np.asarray(state, dtype=complex))
+def concurrence(state: DensityMatrix4) -> ConcurrenceResult:
+    """Spin-flip concurrence of a density matrix, the value computed when the
+    state was validated."""
     return ConcurrenceResult(value=state.concurrence)
 
 

@@ -51,7 +51,11 @@ WALL_INSET = 2.5     # wall center sits this far inside the grid edge
 # real-time dt <= DT_CAP_FACTOR * dx^2: half the split-step stability limit
 # dt k_max^2 / 2 = pi, which sits at dt = 2 dx^2 / pi (Weideman & Herbst 1986)
 DT_CAP_FACTOR = 1.0 / math.pi
+IMPRINT_COARSE_TIME = 3.0     # imprinting's coarse imaginary-time stage, at dt 0.003
 IMPRINT_FINE_DT_FACTOR = 0.1  # imprinting's fine imaginary-time dt, units of dx^2
+MIN_POINTS = 256     # grid rule: a power of two, at least MIN_POINTS points,
+MAX_SPACING = 0.125  # and spacing at most MAX_SPACING (xi/8)
+TRACK_FRAMES = 200   # frames of a multi_soliton_experiment run after the imprint
 NEWTON_TOL = 1e-11   # max|F| at which the box background's Newton solve stops
 NEWTON_MAX_ITER = 20  # Newton steps before box_background gives up
 
@@ -61,23 +65,29 @@ class Boundary(Enum):
     BOX = "box"
 
 
+def fitted_points(length: float) -> int:
+    """The fewest points the grid rule allows on a box of this length."""
+    if not 0.0 < length < math.inf:
+        raise ValueError(f"length must be finite and positive, got {length}")
+    points = MIN_POINTS
+    while length / points > MAX_SPACING:
+        points *= 2
+    return points
+
+
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform periodic grid. points must be a power of two, >= 256."""
+    """Uniform periodic grid that meets the grid rule (see MIN_POINTS)."""
 
     points: int
     length: float
     boundary: Boundary = Boundary.PERIODIC
 
     def __post_init__(self):
-        if self.points < 256 or (self.points & (self.points - 1)) != 0:
-            raise ValueError(f"points must be a power of two >= 256, got {self.points}")
-        if not 0.0 < self.length < math.inf:
-            raise ValueError(f"length must be finite and positive, got {self.length}")
-        if self.spacing > 1.0 / 8.0:
-            raise ValueError(
-                f"spacing {self.spacing:.4f} exceeds xi/8; raise points or shrink length"
-            )
+        fewest = fitted_points(self.length)
+        if (self.points & (self.points - 1)) != 0 or self.points < fewest:
+            raise ValueError(f"points must be a power of two >= {fewest} "
+                             f"for length {self.length}, got {self.points}")
 
     @property
     def spacing(self) -> float:
@@ -252,11 +262,12 @@ def box_background(grid: Grid1D) -> np.ndarray:
     )
 
 
-def imprint_solitons(grid: Grid1D, positions, relax_time: float = 3.0) -> LatticeField:
+def imprint_solitons(grid: Grid1D, positions) -> LatticeField:
     """Dark-soliton chain with nodes at the given positions.
 
     Starts from a product of tanh cores on the relaxed background, then runs
-    fixed-chemical-potential imaginary time while re-imposing the sign
+    fixed-chemical-potential imaginary time (IMPRINT_COARSE_TIME at dt 0.003,
+    then 0.5 at IMPRINT_FINE_DT_FACTOR dx^2) while re-imposing the sign
     pattern inside every step. The sign constraint pins the nodes, so the
     density relaxes onto the true stationary chain instead of the bare product
     ansatz, whose overlapping tails depress the density between cores at
@@ -285,27 +296,26 @@ def imprint_solitons(grid: Grid1D, positions, relax_time: float = 3.0) -> Lattic
         # symmetry of a symmetric chain by a full grid cell
         sign *= np.sign(core)
 
-    if relax_time > 0.0:
-        # imaginary time at fixed chemical potential mu = 1 on the real field:
-        # each step carries an e^{+mu dt} lift, so no norm constraint is needed
-        pot = grid.wall_potential()
-        for dt, t_stage in ((0.003, relax_time),
-                            (IMPRINT_FINE_DT_FACTOR * grid.spacing ** 2, 0.5)):
-            lift = math.exp(dt)
-            psi, _ = _strang(psi, grid, int(round(t_stage / dt)), dt,
-                             lambda p: np.abs(_kernels.decay_step(p, pot, dt) * lift) * sign,
-                             imaginary=True)
-        psi = np.abs(psi) * sign
+    # imaginary time at fixed chemical potential mu = 1 on the real field:
+    # each step carries an e^{+mu dt} lift, so no norm constraint is needed
+    pot = grid.wall_potential()
+    for dt, t_stage in ((0.003, IMPRINT_COARSE_TIME),
+                        (IMPRINT_FINE_DT_FACTOR * grid.spacing ** 2, 0.5)):
+        lift = math.exp(dt)
+        psi, _ = _strang(psi, grid, int(round(t_stage / dt)), dt,
+                         lambda p: np.abs(_kernels.decay_step(p, pot, dt) * lift) * sign,
+                         imaginary=True)
+    psi = np.abs(psi) * sign
     return LatticeField(grid=grid, psi=psi.astype(complex))
 
 
 @dataclass(frozen=True)
 class ImpurityStates:
-    """Relaxed impurity orbitals with Rayleigh energies (relative to the
-    potential plateau) and per-orbital bound flags."""
+    """Relaxed real impurity orbitals on the soliton's grid, with Rayleigh
+    energies (relative to the potential plateau) and per-orbital bound flags."""
 
-    phi0: LatticeField
-    phi1: LatticeField
+    phi0: np.ndarray
+    phi1: np.ndarray
     energies: tuple
     bound: tuple
 
@@ -363,12 +373,7 @@ def relax_impurity(
     gauss = np.exp(-(x / (2.0 * max(1.0, 1.0 / max(params.nu, 0.25)))) ** 2)
     phi0, phi1 = relax(gauss, +1.0), relax(x * gauss, -1.0)
     e0, e1 = (_rayleigh(phi, grid, pot, mr) - depth for phi in (phi0, phi1))
-    return ImpurityStates(
-        phi0=LatticeField(grid=grid, psi=phi0.astype(complex)),
-        phi1=LatticeField(grid=grid, psi=phi1.astype(complex)),
-        energies=(e0, e1),
-        bound=(e0 < 0.0, e1 < 0.0),
-    )
+    return ImpurityStates(phi0=phi0, phi1=phi1, energies=(e0, e1), bound=(e0 < 0.0, e1 < 0.0))
 
 
 @dataclass(frozen=True)
@@ -409,14 +414,14 @@ def multi_soliton_experiment(
     box_length: float,
     t_final: float,
     points: int | None = None,
-    n_records: int = 200,
 ) -> SolitonTracks:
     """Evolve an equally spaced soliton chain in a box and track the cores.
 
     Requires count * spacing < 0.9 * box_length so the chain fits with
-    margin. Tracks are matched frame to frame by order (the cores never cross
-    in this regime); losing a core flags the result with the loss time. The
-    imprinted frame is followed by min(n_records, steps) frames of the run.
+    margin. points defaults to the fewest the grid rule allows. Tracks are
+    matched frame to frame by order (the cores never cross in this regime);
+    losing a core flags the result with the loss time. The imprinted frame is
+    followed by min(TRACK_FRAMES, steps) frames of the run.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -426,9 +431,7 @@ def multi_soliton_experiment(
             f"a {box_length} box with margin"
         )
     if points is None:
-        points = 256
-        while box_length / points > 1.0 / 8.0:
-            points *= 2
+        points = fitted_points(box_length)
     grid = Grid1D(points=points, length=box_length, boundary=Boundary.BOX)
     offsets = (np.arange(count) - 0.5 * (count - 1)) * spacing
     field = imprint_solitons(grid, offsets)
@@ -436,7 +439,7 @@ def multi_soliton_experiment(
     first = _find_minima(field.density(), grid)
     if len(first) != count:
         raise RuntimeError(f"expected {count} cores after imprinting, found {len(first)}")
-    _, records = split_step_evolve(field, t_final, n_records=n_records)
+    _, records = split_step_evolve(field, t_final, n_records=TRACK_FRAMES)
     times, rows, lost_at = [0.0], [first], None
     for t, psi in records:
         found = _find_minima(psi.real ** 2 + psi.imag ** 2, grid)

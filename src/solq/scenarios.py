@@ -21,12 +21,10 @@ from . import __version__
 from .boundstates import pt_spectrum
 from .couplings import rate_set, rwa_report, RateSet
 from .dynamics import DriveParams, basis_state, dicke_transform, evolve
-from .entanglement import (
-    concurrence,
-    steady_concurrence_formula,
-    undriven_concurrence_formula,
+from .entanglement import steady_concurrence_formula, undriven_concurrence_formula
+from .gpe import (
+    Boundary, Grid1D, fitted_points, imprint_solitons, multi_soliton_experiment, relax_impurity,
 )
-from .gpe import Boundary, Grid1D, imprint_solitons, multi_soliton_experiment, relax_impurity
 from .model import ModelParams, qubit_gap
 
 # Physical anchor for the box experiment write-up: a 1.3 um healing length
@@ -51,16 +49,16 @@ class Scenario:
             raise ValueError(
                 f"unknown scenario {self.name!r}; choose from {', '.join(PRESETS)}"
             )
-        if self.points is None:
-            self.points = preset.points
-        elif self.points < 1:
-            raise ValueError(f"--points must be at least 1, got {self.points}")
         settings = dict(preset.settings)
         for key, value in self.settings.items():
             if key not in settings:
                 raise ValueError(f"config key {key!r} is not used by scenario {self.name}")
             settings[key] = parse_value(key, value, type(settings[key]))
         self.settings = settings
+        if self.points is None:
+            self.points = preset.points or fitted_points(settings["box_length"])
+        elif self.points < 1:
+            raise ValueError(f"--points must be at least 1, got {self.points}")
         self.out_dir = Path(self.out_dir)
 
 
@@ -130,12 +128,14 @@ def run_scenario(sc: Scenario) -> list[Path]:
 
 
 def _emit(sc: Scenario, header, rows, derived=None) -> list[Path]:
-    """Write the CSV and its `.meta`: the model and columns, every setting in
-    `PRESETS` order, then the builder's derived keys."""
+    """Write the CSV and its `.meta`: the model and columns, the points, every
+    setting in `PRESETS` order, then the builder's derived keys."""
     csv_path = sc.out_dir / f"{sc.name}.csv"
     meta_path = sc.out_dir / f"{sc.name}.meta"
     write_csv(csv_path, header, rows)
-    write_meta(meta_path, {**_base_meta(sc, header), **sc.settings, **(derived or {})})
+    write_meta(meta_path, {
+        **_base_meta(sc, header), "points": sc.points, **sc.settings, **(derived or {}),
+    })
     return [csv_path, meta_path]
 
 
@@ -160,7 +160,7 @@ def _time_series(sc: Scenario, d: float, initial: str, drive=DriveParams()):
         raise ValueError(f"config key 't_final' must be positive, got {t_final!r}")
     r = rate_set(d, sc.params)
     traj = evolve(basis_state(initial), r, np.linspace(0.0, t_final, sc.points), drive)
-    return r, traj, [concurrence(s).value for s in traj.states]
+    return r, traj, [s.concurrence for s in traj.states]
 
 
 def _build_fig3a(sc: Scenario) -> list[Path]:
@@ -239,11 +239,8 @@ def _build_figS1(sc: Scenario) -> list[Path]:
     states = relax_impurity(sol, sc.params)
     ladder = pt_spectrum(sc.params)
     header = ["x_xi", "soliton_density", "phi0", "phi1"]
-    rows = list(
-        zip(grid.x, sol.density(), states.phi0.psi.real, states.phi1.psi.real)
-    )
+    rows = list(zip(grid.x, sol.density(), states.phi0, states.phi1))
     return _emit(sc, header, rows, {
-        "grid_points": sc.points,
         "energy_0": states.energies[0],
         "energy_1": states.energies[1],
         "bound_0": states.bound[0],
@@ -260,9 +257,7 @@ def _build_figS3(sc: Scenario) -> list[Path]:
     count, spacing, box_length, t_final = (
         sc.settings[k] for k in ("count", "spacing", "box_length", "t_final")
     )
-    tracks = multi_soliton_experiment(
-        count, spacing, box_length, t_final, points=sc.points
-    )
+    tracks = multi_soliton_experiment(count, spacing, box_length, t_final, points=sc.points)
     header = ["t_mu"] + [f"x_{j + 1}" for j in range(count)]
     rows = [
         (tracks.times[i], *tracks.positions[i]) for i in range(len(tracks.times))
@@ -281,7 +276,7 @@ class Preset(NamedTuple):
     setting's default also fixes the type its values are parsed to."""
 
     build: Callable[[Scenario], list[Path]]
-    points: int | None  # None: the builder sizes its own grid
+    points: int | None  # None: the GPE grid rule sizes it from box_length
     settings: dict
 
 

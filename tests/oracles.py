@@ -1,6 +1,6 @@
 """Closed forms of the two-qubit model, kept as test oracles, and the
 observables that only tests read (matrix elements, orbital profiles, field
-norm and energy).
+norm and energy, Bogoliubov mode profiles).
 
 Every two-qubit function here works on product-basis arrays (order ee, eg,
 ge, gg), the basis of `solq.dynamics`. States that the closed forms describe
@@ -9,10 +9,12 @@ are rotated into it with this module's own U_DICKE.
 """
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from solq.bogoliubov import mode_bracket
 from solq.boundstates import WannierPair
 from solq.couplings import RateSet
 from solq.dynamics import (
@@ -191,3 +193,40 @@ def gpe_energy(field: LatticeField) -> float:
     dens = field.density()
     integrand = 0.5 * np.abs(dpsi) ** 2 + 0.5 * dens ** 2 + grid.wall_potential() * dens
     return float(np.sum(integrand) * grid.spacing)
+
+
+K_MIN = 1e-4  # below this the mode functions are numerically singular
+
+
+@dataclass(frozen=True)
+class BogoliubovMode:
+    """u/v envelope pair of one reservoir mode around a soliton at x = 0."""
+
+    k: float
+    u: np.ndarray
+    v: np.ndarray
+
+
+def mode_amplitudes(k: float, x) -> BogoliubovMode:
+    """Local-density u_k, v_k profiles on the grid x.
+
+    u_k(x) = e^{ikx} sqrt(1/4pi) (1/eps) [(k^2 + 2 eps)(k/2 + i tanh) + k sech^2],
+    v_k(x) = e^{-ikx} sqrt(1/4pi) (1/eps) [(k^2 - 2 eps)(k/2 + i tanh) + k sech^2],
+
+    with tanh/sech taken at x. These are envelope approximations and are
+    not normalized: far from the core |u|^2 - |v|^2 tends to
+    2k^2(k^2 + 4)/(4 pi eps(k)), not 1 (0.045 at k = 0.1, 3.0 at k = 4).
+    Gamma/gamma is a ratio at one k, so the factor cancels there; eta/gamma
+    integrates over k, so it does not (ROADMAP item 1).
+    """
+    k = float(k)
+    if k <= 0.0:
+        raise ValueError("mode_amplitudes needs k > 0 (k = 0 mode is singular)")
+    if k < K_MIN:
+        raise ValueError(f"k = {k} below the supported minimum {K_MIN}")
+    x = np.asarray(x, dtype=float)
+    bu, bv = mode_bracket(k, np.tanh(x), 1.0 / np.cosh(x) ** 2)
+    pref = np.sqrt(1.0 / (4.0 * np.pi))
+    u = np.exp(1j * k * x) * pref * bu
+    v = np.exp(-1j * k * x) * pref * bv
+    return BogoliubovMode(k=k, u=u, v=v)

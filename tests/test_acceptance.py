@@ -25,11 +25,13 @@ import time
 
 import numpy as np
 
-from solq.bogoliubov import mode_amplitudes, resonant_wavevector
+from solq import couplings
+from solq.bogoliubov import resonant_wavevector
 from solq.boundstates import pt_spectrum, wannier_pair
-from solq.couplings import RateSet, rate_set, rwa_report
+from solq.couplings import rate_set, rwa_report
 from oracles import (
-    analytic_undriven, dicke_matrix, element, gpe_energy, phi0, phi1, steady_state_closed_form,
+    analytic_undriven, dicke_matrix, element, gpe_energy, mode_amplitudes, phi0, phi1,
+    steady_state_closed_form,
 )
 from solq.dynamics import DensityMatrix4, DriveParams, basis_state, evolve, steady_state
 from solq.entanglement import (
@@ -302,7 +304,7 @@ def test_09_soliton_chain_ordering():
     assert ok
 
 
-def test_10_property_sweep_and_unit_mapping():
+def test_10_property_sweep_and_unit_mapping(monkeypatch):
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     rates = rates_at(2.5)
@@ -326,11 +328,14 @@ def test_10_property_sweep_and_unit_mapping():
         u1, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         u2, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         u = np.kron(u1, u2)
-        lu_dev = max(lu_dev, abs(concurrence(u @ rho @ u.conj().T).value
-                                 - concurrence(rho).value))
+        rotated = DensityMatrix4(matrix=u @ rho @ u.conj().T)
+        lu_dev = max(lu_dev, abs(concurrence(rotated).value
+                                 - concurrence(DensityMatrix4(matrix=rho)).value))
 
     # quadrature refinement leaves the rates unchanged
-    refined = rate_set(2.5, PARAMS, n_omega=3201)
+    with monkeypatch.context() as m:
+        m.setattr(couplings, "N_OMEGA", 3201)
+        refined = rate_set(2.5, PARAMS)
     quad_dev = max(abs(refined.Gamma_over_gamma - rates.Gamma_over_gamma),
                    abs(refined.eta_over_gamma - rates.eta_over_gamma))
 

@@ -11,7 +11,7 @@ from solq import scenarios
 from solq.cli import COMMANDS, build_parser, main, parse_config
 from solq.couplings import _table, rate_set
 from solq.dynamics import DriveParams
-from solq.gpe import Grid1D
+from solq.gpe import Grid1D, multi_soliton_experiment
 from solq.model import ModelParams
 from solq.scenarios import PRESETS, Scenario, format_value, parse_value
 
@@ -113,6 +113,7 @@ def test_bad_config_value_exits_2(tmp_path, monkeypatch, capsys, argv, text, nee
         lambda: DriveParams(omega_rabi=float("nan")),
         lambda: Grid1D(points=2048, length=float("nan")),
         lambda: Scenario("fig5a", settings={"omega": float("nan")}),
+        lambda: multi_soliton_experiment(1, 2.5, float("inf"), 1.0),
     ],
 )
 def test_library_rejects_nonfinite_input(make):
@@ -126,7 +127,8 @@ def test_scenario_settings_are_checked_and_typed():
     sc = Scenario("figS3", settings={"count": "3", "spacing": "8"})
     assert sc.settings["count"] == 3 and isinstance(sc.settings["count"], int)
     assert sc.settings["spacing"] == 8.0 and isinstance(sc.settings["spacing"], float)
-    assert sc.settings["t_final"] == 22.5 and sc.points is None
+    # figS3's default grid is the fewest points the GPE grid rule allows
+    assert sc.settings["t_final"] == 22.5 and sc.points == 1024
     fig4 = Scenario("fig4", settings={"initial_state": "eg"})
     assert fig4.settings["initial_state"] == "eg" and fig4.points == 301
 
@@ -263,6 +265,8 @@ def test_meta_records_every_setting(tmp_path, capsys, name):
             "--out", str(tmp_path)]
     assert main(argv + flags) == 0
     meta = read_meta(tmp_path / f"{name}.meta")
+    # figS3 takes the fewest points the grid rule allows on its 40-xi box
+    assert meta["points"] == (flags[1] if flags else "512")
     for key, text in settings.items():
         value = parse_value(key, text, type(defaults[key]))
         assert value != defaults[key]

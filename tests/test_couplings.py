@@ -159,9 +159,10 @@ def test_pv_excision_independence():
     assert abs(pv - values[0]) < 1e-6 * abs(values[0])
 
 
-def test_pv_eta_grid_refinement():
+def test_pv_eta_grid_refinement(monkeypatch):
     coarse = rate_set(2.5, P).eta_over_gamma
-    fine = rate_set(2.5, P, n_omega=2 * N_OMEGA + 1).eta_over_gamma
+    monkeypatch.setattr(couplings, "N_OMEGA", 2 * N_OMEGA + 1)
+    fine = rate_set(2.5, P).eta_over_gamma
     assert abs(coarse - fine) < 1e-6 * abs(fine)
 
 
@@ -201,27 +202,34 @@ def test_panel_matches_direct_trapezoid():
             assert abs(got - want) < 1e-10 * c11, (k, d, got, want)
 
 
-def test_rate_table_cache_tracks_its_key():
+def test_rate_table_cache_tracks_its_key(monkeypatch):
     # every input the cached table depends on is in its key: after any other
-    # parameter set or grid override, and on a repeat, rate_set must return
-    # what it returns from a cold cache
+    # parameter set or grid size, and on a repeat, rate_set must return what
+    # it returns from a cold cache
     cases = [
         (P, {}),
         (ModelParams(nu=0.7), {}),
         (ModelParams(mass_ratio=1.3), {}),
         (ModelParams(wannier_convention="eigenstate"), {}),
-        (P, {"n_y": 401}),
-        (P, {"n_omega": 801}),
+        (P, {"N_Y": 401}),
+        (P, {"N_OMEGA": 801}),
         (P, {}),
     ]
+
+    def rates(params, grids):
+        with monkeypatch.context() as m:
+            for name, size in grids.items():
+                m.setattr(couplings, name, size)
+            return rate_set(2.5, params)
+
     cold = []
     for params, grids in cases:
         _table.cache_clear()
-        cold.append(rate_set(2.5, params, **grids))
+        cold.append(rates(params, grids))
     for (params, grids), want in zip(cases, cold):
-        assert rate_set(2.5, params, **grids) == want
+        assert rates(params, grids) == want
         hits = _table.cache_info().hits
-        assert rate_set(2.5, params, **grids) == want
+        assert rates(params, grids) == want
         assert _table.cache_info().hits == hits + 1
 
 

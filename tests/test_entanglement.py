@@ -5,7 +5,7 @@ import pytest
 
 from oracles import concurrence_closed_forms
 from solq.couplings import RateSet
-from solq.dynamics import DriveParams, basis_state, evolve, steady_state
+from solq.dynamics import DensityMatrix4, DriveParams, basis_state, evolve, steady_state
 from solq.entanglement import (
     concurrence,
     steady_concurrence_formula,
@@ -79,7 +79,7 @@ def random_states(rng, count):
 def test_concurrence_matches_eigvals_oracle():
     rng = np.random.default_rng(53)
     for rho, factor in random_states(rng, 40):
-        got = concurrence(rho).value
+        got = concurrence(DensityMatrix4(rho)).value
         if factor is None:
             assert abs(got - wootters_eigvals(rho)) < 1e-9
         else:
@@ -94,7 +94,7 @@ def test_exact_fixtures():
         v[i], v[j] = 1.0 / math.sqrt(2.0), sign / math.sqrt(2.0)
         bells.append(np.outer(v, v.conj()))
     for rho in bells:
-        assert abs(concurrence(rho).value - 1.0) < 1e-14
+        assert abs(concurrence(DensityMatrix4(rho)).value - 1.0) < 1e-14
     for label in ("s", "a"):
         assert abs(concurrence(basis_state(label)).value - 1.0) < 1e-14
     for label in ("ee", "eg", "ge", "gg", "e", "g"):
@@ -104,11 +104,11 @@ def test_exact_fixtures():
         a = rng.normal(size=2) + 1j * rng.normal(size=2)
         b = rng.normal(size=2) + 1j * rng.normal(size=2)
         v = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
-        assert concurrence(np.outer(v, v.conj())).value < 1e-14
+        assert concurrence(DensityMatrix4(np.outer(v, v.conj()))).value < 1e-14
 
 
 def test_bell_state_is_maximally_entangled():
-    res = concurrence(bell_phi_plus())
+    res = concurrence(DensityMatrix4(bell_phi_plus()))
     assert abs(res.value - 1.0) < 1e-14
 
 
@@ -121,7 +121,7 @@ def test_werner_line():
     # C = max(0, (3p - 1)/2) for Werner states built on |Phi+>
     for p, expected in ((0.6, 0.4), (1.0, 1.0), (1.0 / 3.0, 0.0), (0.2, 0.0)):
         rho = p * bell_phi_plus() + (1.0 - p) * np.eye(4) / 4.0
-        assert abs(concurrence(rho).value - expected) < 1e-12
+        assert abs(concurrence(DensityMatrix4(rho)).value - expected) < 1e-12
 
 
 def test_dicke_symmetric_state_is_maximally_entangled():
@@ -139,8 +139,8 @@ def test_local_unitary_invariance():
         u2, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         u = np.kron(u1, u2)
         rotated = u @ rho @ u.conj().T
-        c0 = concurrence(rho).value
-        c1 = concurrence(rotated).value
+        c0 = concurrence(DensityMatrix4(rho)).value
+        c1 = concurrence(DensityMatrix4(rotated)).value
         assert abs(c0 - c1) < 1e-9
 
 
@@ -154,7 +154,7 @@ def test_closed_forms_match_general_on_x_states():
         m[0, 3], m[3, 0] = outer, np.conj(outer)
         m[1, 2], m[2, 1] = inner, np.conj(inner)
         closed = concurrence_closed_forms(m)
-        general = concurrence(m)
+        general = concurrence(DensityMatrix4(m))
         assert abs(closed.value - general.value) < 1e-10
         if closed.value > 0.0:
             # the named branch is the one that sets the value
@@ -219,8 +219,3 @@ def test_strong_drive_kills_steady_entanglement():
     # |U| = hypot(Gamma, 2 eta); above Omega^2 = |U| the formula clamps to zero
     strong = steady_concurrence_formula(rates, DriveParams(omega_rabi=1.5))
     assert strong == 0.0
-
-
-def test_raw_arrays_are_validated():
-    with pytest.raises(ValueError):
-        concurrence(np.eye(4) / 2.0)

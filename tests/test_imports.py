@@ -5,7 +5,8 @@ import pytest
 
 import solq
 
-SOURCES = sorted(Path(solq.__file__).parent.glob("*.py"))
+SOURCES = (sorted(Path(solq.__file__).parent.glob("*.py"))
+           + sorted(Path(__file__).parent.glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -32,7 +32,7 @@ def test_tracing_wraps_the_gpe_entry_points():
     try:
         tracer.run = 0
         grid = gpe.Grid1D(points=256, length=30.0, boundary=gpe.Boundary.BOX)
-        soliton = gpe.imprint_solitons(grid, [0.0], relax_time=0.03)
+        soliton = gpe.imprint_solitons(grid, [0.0])
         dt = 0.5 * gpe.DT_CAP_FACTOR * grid.spacing ** 2
         gpe.split_step_evolve(soliton, 7 * dt, dt=dt, n_records=2)
         gpe.relax_impurity(soliton, ModelParams(), t_relax=0.05, dt=0.01)
@@ -49,7 +49,8 @@ def test_tracing_wraps_the_gpe_entry_points():
     assert op["kernels.phase_step.calls"] == 7
     # one decay step per imaginary-time step of the imprint's two stages
     fine_dt = gpe.IMPRINT_FINE_DT_FACTOR * grid.spacing ** 2
-    assert op["kernels.decay_step.calls"] == round(0.03 / 0.003) + round(0.5 / fine_dt)
+    assert op["kernels.decay_step.calls"] == (round(gpe.IMPRINT_COARSE_TIME / 0.003)
+                                              + round(0.5 / fine_dt))
     assert op["gpe.relax_impurity.steps"] == 10
     assert np.isclose(op["trace.self_sum_s"], op["gpe.imprint_solitons.s"]
                       + op["gpe.split_step_evolve.s"] + op["gpe.relax_impurity.s"])
