@@ -28,11 +28,12 @@ points, 92 xi) stay within 7e-6 xi of a quarter-step run to t = 22.5, and
 its relative energy drift over t = 100 is 4e-8; at 0.65 dx^2, where the
 instability sets in, it is 1.5e-5. The imaginary-time relaxations (soliton
 imprinting, impurity orbitals) run on real fields with real FFTs, since the
-kinetic factor is real and even, and apply their constraint inside the
-pointwise step N and once more on the returned state.
+kinetic factor is real and even. Imprinting applies its sign constraint inside
+the pointwise step N and once more on the returned state.
 
-The impurity module relaxes the two localized orbitals inside a frozen
-soliton (one-way coupling) by parity-projected imaginary time.
+The two localized impurity orbitals inside a frozen soliton (one-way
+coupling) relax together in imaginary time, as the even and odd parts of one
+real field.
 """
 
 import math
@@ -336,10 +337,15 @@ def relax_impurity(
 
     The impurity feels the soliton density as a well of depth
     nu(nu+1)/(2 m_r) (the matched sech^2 relation, which makes the analytic
-    level ladder the reference), plus the box walls. Imaginary time with
-    even/odd parity projection every step; the potential is even, so parity
-    is exact. A nonnegative Rayleigh quotient relative to the plateau means
-    the channel supports no bound state and is flagged.
+    level ladder the reference), plus the box walls. Both orbitals relax in
+    imaginary time as the even and odd parts of one real field: the kinetic
+    factor is even, and so is the potential step once symmetrized (on a state
+    of either parity it equals the parity-projected step), so the parts never
+    mix. Every 100 steps each part is rescaled to unit norm. Without that the
+    even part outgrows the odd one by e^{(E1 - E0) t}, so the odd orbital is
+    lost in the even one's rounding, and on long runs both underflow. A
+    nonnegative Rayleigh quotient relative to the plateau means the channel
+    supports no bound state and is flagged.
     """
     if not (0.0 < dt < math.inf and 0.0 < t_relax < math.inf):
         raise ValueError(f"dt and t_relax must be finite and positive, got {dt} and {t_relax}")
@@ -354,24 +360,23 @@ def relax_impurity(
     n = grid.points
     flip = (n - np.arange(n)) % n  # x -> -x on the periodic grid
     decay = np.exp(-dt * pot)
+    decay = 0.5 * (decay + decay[flip])  # exactly even
 
-    def relax(seed, parity):
-        # every factor of a step is linear and even, so projecting after the
-        # potential step rescales the state only; the final call sets the scale
-        def project(psi):
-            psi = 0.5 * (psi + parity * psi[flip])
-            nrm = math.sqrt((psi @ psi) * grid.spacing)
-            if nrm == 0.0 or not np.isfinite(nrm):
-                raise RuntimeError("impurity relaxation collapsed (zero or non-finite norm)")
-            return psi / nrm
-
-        psi, _ = _strang(seed, grid, n_steps, dt, lambda p: project(p * decay),
-                         mass=mr, imaginary=True)
-        return project(psi)
+    def unit(psi):
+        nrm = math.sqrt((psi @ psi) * grid.spacing)
+        if nrm == 0.0 or not np.isfinite(nrm):
+            raise RuntimeError("impurity relaxation collapsed (zero or non-finite norm)")
+        return psi / nrm
 
     x = grid.x
     gauss = np.exp(-(x / (2.0 * max(1.0, 1.0 / max(params.nu, 0.25)))) ** 2)
-    phi0, phi1 = relax(gauss, +1.0), relax(x * gauss, -1.0)
+    psi = gauss + x * gauss
+    for start in range(0, n_steps, 100):
+        psi, _ = _strang(psi, grid, min(100, n_steps - start), dt, lambda p: p * decay,
+                         mass=mr, imaginary=True)
+        mirror = psi[flip]
+        phi0, phi1 = unit(0.5 * (psi + mirror)), unit(0.5 * (psi - mirror))
+        psi = phi0 + phi1
     e0, e1 = (_rayleigh(phi, grid, pot, mr) - depth for phi in (phi0, phi1))
     return ImpurityStates(phi0=phi0, phi1=phi1, energies=(e0, e1), bound=(e0 < 0.0, e1 < 0.0))
 
