@@ -6,9 +6,9 @@ The condensate field is evolved by a Strang-split spectral scheme for
 
 in soliton units (field normalized to the background, so the uniform density
 is 1 and the chemical potential term shows up as an overall e^{-i t} phase on
-the background rather than being subtracted). Box experiments run on a
-periodic grid with steep tanh walls added as an external potential, which
-keeps the spectral kinetic step exact.
+the background rather than being subtracted). Every grid is a box: a
+periodic FFT grid with steep tanh walls added as an external potential, so
+the spectral kinetic step stays exact and the field vanishes at the seam.
 
 The box background is the stationary field at chemical potential 1, found
 by Newton's method with a preconditioned conjugate-gradient inner solve; it
@@ -62,7 +62,6 @@ NEWTON_MAX_ITER = 20  # Newton steps before box_background gives up
 
 
 class Boundary(Enum):
-    PERIODIC = "periodic"
     BOX = "box"
 
 
@@ -78,11 +77,12 @@ def fitted_points(length: float) -> int:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform periodic grid that meets the grid rule (see MIN_POINTS)."""
+    """A box: a uniform periodic FFT grid that meets the grid rule (see
+    MIN_POINTS), with tanh walls WALL_INSET inside its edges."""
 
     points: int
     length: float
-    boundary: Boundary = Boundary.PERIODIC
+    boundary: Boundary = Boundary.BOX  # the only kind; solq never reads it
 
     def __post_init__(self):
         fewest = fitted_points(self.length)
@@ -104,16 +104,12 @@ class Grid1D:
         return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.spacing)
 
     def wall_potential(self) -> np.ndarray:
-        """Box walls (zero array for a plain periodic grid)."""
-        if self.boundary is Boundary.PERIODIC:
-            return np.zeros(self.points)
-        xw = 0.5 * self.length - WALL_INSET
+        """Tanh walls of height WALL_HEIGHT and width WALL_WIDTH at |x| = wall_center()."""
+        xw = self.wall_center()
         return 0.5 * WALL_HEIGHT * (np.tanh((np.abs(self.x) - xw) / WALL_WIDTH) + 1.0)
 
     def wall_center(self) -> float:
-        """|x| of the wall midpoint (half the length when periodic)."""
-        if self.boundary is Boundary.PERIODIC:
-            return 0.5 * self.length
+        """|x| of the wall midpoint, where the wall reaches half its height."""
         return 0.5 * self.length - WALL_INSET
 
 
@@ -220,14 +216,13 @@ def _pcg(apply, b, precondition, rtol):
 
 @lru_cache(maxsize=8)
 def box_background(grid: Grid1D) -> np.ndarray:
-    """Stationary soliton-free field of the grid (ones when periodic).
+    """Stationary soliton-free field of the box.
 
     This is the real root of F(psi) = -1/2 psi'' + (psi^2 + V - 1) psi at
     fixed chemical potential 1, so the interior density settles locally to 1
     instead of being set by an arbitrary normalization. Newton's method from
-    the Thomas-Fermi profile (ones when V = 0, already the exact root) solves
-    it, each step by conjugate gradients on the Jacobian
-    -1/2 d2/dx2 + 3 psi^2 + V - 1 (SPD here) preconditioned by
+    the Thomas-Fermi profile solves it, each step by conjugate gradients on
+    the Jacobian -1/2 d2/dx2 + 3 psi^2 + V - 1 (SPD here) preconditioned by
     (k^2/2 + 2)^-1. It stops at max|F| < NEWTON_TOL, or on grids finer than
     about xi/39 at three times the rounding floor of the spectral psi''
     (about 2 eps max(k^2/2)), and raises RuntimeError after NEWTON_MAX_ITER
@@ -422,14 +417,16 @@ def multi_soliton_experiment(
 ) -> SolitonTracks:
     """Evolve an equally spaced soliton chain in a box and track the cores.
 
-    Requires count * spacing < 0.9 * box_length so the chain fits with
-    margin. points defaults to the fewest the grid rule allows. Tracks are
+    Requires spacing > 0 and count * spacing < 0.9 * box_length so the
+    chain fits with margin. points defaults to the fewest the grid rule allows. Tracks are
     matched frame to frame by order (the cores never cross in this regime);
     losing a core flags the result with the loss time. The imprinted frame is
     followed by min(TRACK_FRAMES, steps) frames of the run.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if not spacing > 0.0:
+        raise ValueError(f"spacing must be positive, got {spacing}")
     if count * spacing >= 0.9 * box_length:
         raise ValueError(
             f"chain of {count} solitons at spacing {spacing} does not fit in "
@@ -437,7 +434,7 @@ def multi_soliton_experiment(
         )
     if points is None:
         points = fitted_points(box_length)
-    grid = Grid1D(points=points, length=box_length, boundary=Boundary.BOX)
+    grid = Grid1D(points=points, length=box_length)
     offsets = (np.arange(count) - 0.5 * (count - 1)) * spacing
     field = imprint_solitons(grid, offsets)
 

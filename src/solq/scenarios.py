@@ -23,7 +23,7 @@ from .couplings import rate_set, rwa_report, RateSet
 from .dynamics import DriveParams, basis_state, dicke_transform, evolve
 from .entanglement import steady_concurrence_formula, undriven_concurrence_formula
 from .gpe import (
-    Boundary, Grid1D, fitted_points, imprint_solitons, multi_soliton_experiment, relax_impurity,
+    Grid1D, fitted_points, imprint_solitons, multi_soliton_experiment, relax_impurity,
 )
 from .model import ModelParams, qubit_gap
 
@@ -234,7 +234,7 @@ def _build_fig5b(sc: Scenario) -> list[Path]:
 
 def _build_figS1(sc: Scenario) -> list[Path]:
     """Impurity orbitals in a single frozen soliton, against the analytic ladder."""
-    grid = Grid1D(points=sc.points, length=sc.settings["box_length"], boundary=Boundary.BOX)
+    grid = Grid1D(points=sc.points, length=sc.settings["box_length"])
     sol = imprint_solitons(grid, [0.0])
     states = relax_impurity(sol, sc.params)
     ladder = pt_spectrum(sc.params)

@@ -39,7 +39,7 @@ from solq.entanglement import (
     steady_concurrence_formula,
     undriven_concurrence_formula,
 )
-from solq.gpe import Boundary, Grid1D, imprint_solitons, multi_soliton_experiment, relax_impurity
+from solq.gpe import Grid1D, imprint_solitons, multi_soliton_experiment, relax_impurity
 from solq.model import ModelParams, qubit_gap
 from solq.scenarios import FIGS3_XI_UM
 
@@ -250,7 +250,7 @@ def test_06_steady_concurrence_peaks():
 
 def test_07_impurity_levels_match_analytic_ladder():
     t0 = time.perf_counter()
-    grid = Grid1D(points=2048, length=60.0, boundary=Boundary.BOX)
+    grid = Grid1D(points=2048, length=60.0)
     states = relax_impurity(imprint_solitons(grid, [0.0]), PARAMS)
     ladder = pt_spectrum(PARAMS)
     devs = [abs(states.energies[n] - ladder.energies[n]) / abs(ladder.energies[n])
@@ -342,7 +342,7 @@ def test_10_property_sweep_and_unit_mapping(monkeypatch):
     # spatial grid refinement leaves the soliton energy unchanged
     energies = []
     for pts in (512, 1024):
-        g = Grid1D(points=pts, length=40.0, boundary=Boundary.BOX)
+        g = Grid1D(points=pts, length=40.0)
         energies.append(gpe_energy(imprint_solitons(g, [0.0])))
     grid_dev = abs(energies[1] - energies[0]) / abs(energies[1])
 

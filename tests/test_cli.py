@@ -88,6 +88,10 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         (["driven"], "t_final=0\n", "'t_final' must be positive, got 0.0"),
         (["rates", "--points", "0"], "", "--points must be at least 1, got 0"),
         (["rates", "--points", "-3"], "", "--points must be at least 1, got -3"),
+        # the imprint sorts the cores, so a negative spacing would run the
+        # mirrored chain while the .meta keeps the sign; 0 stacks the cores
+        (["gpe-multisoliton"], "spacing=-2.5\n", "spacing must be positive, got -2.5"),
+        (["gpe-multisoliton"], "spacing=0\n", "spacing must be positive, got 0.0"),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, monkeypatch, capsys, argv, text, needle):
