@@ -1,8 +1,8 @@
 """Bogoliubov excitations of the background condensate.
 
-Dispersion and group velocity of the phonon reservoir, plus the envelope
-brackets of the local-density mode functions around a soliton (plane waves
-dressed by soliton-shaped envelopes). Wavenumbers are in 1/xi, energies in mu.
+Dispersion and group velocity of the phonon reservoir, plus the local-density
+mode functions around a soliton as weights of 1, tanh and sech^2 (plane waves
+dressed by soliton envelopes). Wavenumbers are in 1/xi, energies in mu.
 """
 
 import numpy as np
@@ -36,20 +36,17 @@ def resonant_wavevector(omega):
     return omega / np.sqrt(np.sqrt(1.0 + omega * omega) + 1.0)
 
 
-def mode_bracket(k, th, ssq):
-    """Envelope brackets (bu, bv) of mode k at a point with tanh th, sech^2 ssq.
+def mode_coefficients(k):
+    """Density mode k around a soliton as weights of 1, tanh(y) and sech^2(y).
 
-    bu = [(k^2 + 2 eps)(k/2 + i th) + k ssq]/eps,
-    bv = [(k^2 - 2 eps)(k/2 + i th) + k ssq]/eps,
+    Row 0 holds the envelope bu of e^{iky}, row 1 the envelope bv of e^{-iky}:
 
-    so that u_k = e^{iky} bu/sqrt(4 pi) and v_k = e^{-iky} bv/sqrt(4 pi).
-    Plain arithmetic: floats give complex scalars and broadcastable arrays
-    give complex arrays.
+    bu = [(k^2 + 2 eps)(k/2 + i tanh) + k sech^2]/eps,
+    bv = [(k^2 - 2 eps)(k/2 + i tanh) + k sech^2]/eps,
+
+    so u_k = e^{iky} bu/sqrt(4 pi) and v_k = e^{-iky} bv/sqrt(4 pi). Returns a
+    complex array of shape (2, 3) + shape(k).
     """
     eps = dispersion(k)
-    common = k / 2.0 + 1j * th
-    tail = (k / eps) * ssq
-    return (
-        (k * k + 2.0 * eps) / eps * common + tail,
-        (k * k - 2.0 * eps) / eps * common + tail,
-    )
+    a = ((k * k + 2.0 * eps) / eps, (k * k - 2.0 * eps) / eps)
+    return np.array([[c * (k / 2.0), 1j * c, k / eps] for c in a], dtype=complex)

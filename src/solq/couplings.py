@@ -2,12 +2,11 @@
 
 The impurity qubit couples to the condensate density fluctuation, whose mode-k
 coefficient around a soliton is the combination u_k + v_k dressed by the
-soliton's tanh profile. Transition amplitudes between the impurity orbitals
-are trapezoid sums of that density on the rate engine's grid; the collective
-decay rate Gamma(d) and the coherent coupling eta(d) between two soliton sites
-a distance d apart come from the spatial correlation of the coupling density
-at the resonant mode and from its principal-value integral over the reservoir
-band:
+soliton's tanh profile (`bogoliubov.mode_coefficients`). The orbital transition
+amplitudes integrate it in closed form; the collective decay rate Gamma(d) and
+the coherent coupling eta(d) between two soliton sites a distance d apart come
+from the spatial correlation of the coupling density at the resonant mode and
+from its principal-value integral over the reservoir band:
 
     D_k(y)       = m(y) [bu(y,k) e^{iky} + bv(y,k) e^{-iky}]
     C12(k; d)    = Re int dy D_k(y) D_k*(y - d)
@@ -21,10 +20,11 @@ guarantees |Gamma/gamma| <= 1.
 
 C12 is the autocorrelation of D_k, so by Wiener-Khinchin every separation
 follows from one table of |FFT D_k|^2 over the resonant mode and the PV
-k-grid: `rate_set` builds it once per parameter set and grid size and then
-costs one cosine matrix-vector product per separation.
+k-grid, the only samples of the mode: `rate_set` builds it once per parameter set
+and grid size, then costs one cosine matrix-vector product per separation.
 """
 
+import cmath
 import functools
 import math
 import threading
@@ -32,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import group_velocity, mode_bracket, resonant_wavevector
+from .bogoliubov import group_velocity, mode_coefficients, resonant_wavevector
 from .boundstates import wannier_pair
 from .model import ModelParams, chi_over_g, qubit_gap
 
-Y_HALF = 40.0          # spatial support half-width of the trapezoid sums, in xi
+Y_HALF = 40.0          # spatial support half-width of the sampled D_k, in xi
 N_Y = 501              # samples of D_k across [-Y_HALF, Y_HALF]; D_k is analytic
                        # and decays like sech^(2 alpha), so the trapezoid sums
                        # converge exponentially: C12 matches n_y = 20001 to
@@ -45,20 +45,7 @@ N_Y = 501              # samples of D_k across [-Y_HALF, Y_HALF]; D_k is analyti
 N_OMEGA = 1601         # budget for the principal-value frequency grid
 OMEGA_MAX_FACTOR = 50  # reservoir cutoff in units of the qubit gap
 _FFT_CHUNK = 1 << 16   # complex samples per FFT batch (bounds the temporaries)
-
-
-def _coupling_density(k, y, alpha, tanh_power):
-    """tanh^p sech^(2 alpha) (bu e^{iky} + bv e^{-iky}) at the points y.
-
-    The orbital product phi_l phi_m carries tanh^(l + m) sech^(2 alpha) and the
-    reservoir adds one tanh, so p = l + m + 1; D_k is the p = 2 case. k
-    broadcasts against y (a column of k values gives one row per mode).
-    """
-    th = np.tanh(y)
-    sech = 1.0 / np.cosh(y)
-    bu, bv = mode_bracket(k, th, sech * sech)
-    phase = np.exp(1j * k * y)
-    return th ** tanh_power * sech ** (2.0 * alpha) * (bu * phase + bv * phase.conj())
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
 
 def _spectral_power(karr, alpha, n_y):
@@ -75,13 +62,17 @@ def _spectral_power(karr, alpha, n_y):
     karr = np.atleast_1d(np.asarray(karr, dtype=float))
     y = np.linspace(-Y_HALF, Y_HALF, n_y)
     dy = y[1] - y[0]
+    th, sech = np.tanh(y), 1.0 / np.cosh(y)
+    ssq, overlap = sech * sech, th ** 2 * sech ** (2.0 * alpha)
     nfft = 1 << (2 * n_y - 1).bit_length()
     half = nfft // 2
     power = np.empty((len(karr), half + 1))
     rows = max(1, _FFT_CHUNK // nfft)
     for a in range(0, len(karr), rows):
-        dk = _coupling_density(karr[a:a + rows, None], y, alpha, 2)
-        spec = np.fft.fft(dk, n=nfft, axis=1)
+        k = karr[a:a + rows, None]
+        bu, bv = (c0 + c1 * th + c2 * ssq for c0, c1, c2 in mode_coefficients(k))
+        phase = np.exp(1j * k * y)
+        spec = np.fft.fft(overlap * (bu * phase + bv * phase.conj()), n=nfft, axis=1)
         pw = (spec.real ** 2 + spec.imag ** 2) * (dy / nfft)
         power[a:a + rows, 0] = pw[:, 0]
         power[a:a + rows, 1:half] = pw[:, 1:half] + pw[:, :half:-1]
@@ -238,22 +229,46 @@ def rate_set(d: float, params: ModelParams) -> RateSet:
     )
 
 
+def _re_lgamma(z):
+    """Re ln Gamma(z) for Re z > 0 (numpy has no complex Gamma): Stirling's series,
+    B_2n/(2n (2n - 1) w^(2n - 1)) to w^-13 at w = z + 8, omits less than 1e-15."""
+    w = z + 8.0  # Gamma(w) = z (z + 1) ... (z + 7) Gamma(z)
+    series = sum(c / w ** (2 * n + 1) for n, c in enumerate(_STIRLING))
+    shift = sum(math.log(abs(z + n)) for n in range(8))
+    return ((w - 0.5) * cmath.log(w) - w + series).real + 0.5 * math.log(2.0 * math.pi) - shift
+
+
+def _fourier_ratio(p, j, beta, s):
+    """int tanh^p sech^(beta + 2j) e^{isy} dy over int sech^beta e^{isy} dy, rational in s:
+    tanh^2 = 1 - sech^2 lowers p by two, tanh sech^b = -(sech^b)'/b brings is/b,
+    and b -> b + 2 brings (b^2 + s^2)/(b (b + 1)). No transcendental is subtracted."""
+    if p >= 2:
+        return _fourier_ratio(p - 2, j, beta, s) - _fourier_ratio(p - 2, j + 1, beta, s)
+    b = [beta + 2.0 * i for i in range(j + 1)]
+    ratio = math.prod((c * c + s * s) / (c * (c + 1.0)) for c in b[:-1])
+    return ratio * 1j * s / b[-1] if p else ratio
+
+
 def coupling_amplitude(l, m, k, params: ModelParams):
     """Same-site transition amplitude g_lm(k) between impurity orbitals l and m.
 
-    The trapezoid sum of phi_l phi_m tanh (bu e^{iky} + bv e^{-iky}) on the
-    N_Y points of [-Y_HALF, Y_HALF] that also sample D_k: the integrand is
-    analytic and decays like sech^(2 alpha), so the sum converges exponentially.
-    """
+    int phi_l phi_m tanh (bu e^{iky} + bv e^{-iky}) dy in closed form: each term is
+    a `_fourier_ratio` at s = +-k times int sech^beta e^{isy} dy, which equals
+    2^(beta - 1) |Gamma((beta + is)/2)|^2 / Gamma(beta) (Gradshteyn & Ryzhik 3.985.1)."""
     if l not in (0, 1) or m not in (0, 1):
         raise ValueError("band indices l, m must be 0 or 1")
     k = float(k)
     if not 0.0 < k < math.inf:
         raise ValueError(f"coupling_amplitude needs a finite k > 0, got {k}")
     pref, pair = _prefactor(params, l + m)
-    y = np.linspace(-Y_HALF, Y_HALF, N_Y)
-    density = _coupling_density(k, y, pair.alpha, l + m + 1)
-    return pref * math.sqrt(1.0 / (4.0 * math.pi)) * complex(np.trapezoid(density, y))
+    beta, p = 2.0 * pair.alpha, l + m + 1  # phi_l phi_m tanh = tanh^p sech^beta
+    terms = ((p, 0), (p + 1, 0), (p, 1))  # the columns 1, tanh and sech^2
+    total = 0.0
+    for s, row in zip((k, -k), mode_coefficients(k)):
+        total += sum(c * _fourier_ratio(q, j, beta, s) for c, (q, j) in zip(row, terms))
+    sech_transform = math.exp((beta - 1.0) * math.log(2.0) - math.lgamma(beta)
+                              + 2.0 * _re_lgamma(complex(beta, k) / 2.0))
+    return pref * math.sqrt(1.0 / (4.0 * math.pi)) * complex(sech_transform * total)
 
 
 @dataclass(frozen=True)

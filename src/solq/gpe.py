@@ -54,6 +54,7 @@ WALL_INSET = 2.5     # wall center sits this far inside the grid edge
 DT_CAP_FACTOR = 1.0 / math.pi
 IMPRINT_COARSE_TIME = 3.0     # imprinting's coarse imaginary-time stage, at dt 0.003
 IMPRINT_FINE_DT_FACTOR = 0.1  # imprinting's fine imaginary-time dt, units of dx^2
+IMPRINT_MARGIN = 3.5  # core to wall center, in wall widths; 3.07 or less imprints two minima
 MIN_POINTS = 256     # grid rule: a power of two, at least MIN_POINTS points,
 MAX_SPACING = 0.125  # and spacing at most MAX_SPACING (xi/8)
 TRACK_FRAMES = 200   # frames of a multi_soliton_experiment run after the imprint
@@ -277,8 +278,7 @@ def imprint_solitons(grid: Grid1D, positions) -> LatticeField:
     for a, b in zip(positions, positions[1:]):
         if b - a < 1.0:
             raise ValueError(f"soliton positions {a} and {b} overlap (closer than xi)")
-    margin = grid.wall_center() - 3.0 * WALL_WIDTH
-    if positions[0] < -margin or positions[-1] > margin:
+    if max(-positions[0], positions[-1]) > grid.wall_center() - IMPRINT_MARGIN * WALL_WIDTH:
         raise ValueError("soliton positions fall outside the usable interior")
 
     x = grid.x

@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from solq.bogoliubov import mode_bracket
 from solq.boundstates import WannierPair
 from solq.couplings import RateSet
 from solq.dynamics import (
@@ -213,7 +212,9 @@ def mode_amplitudes(k: float, x) -> BogoliubovMode:
     u_k(x) = e^{ikx} sqrt(1/4pi) (1/eps) [(k^2 + 2 eps)(k/2 + i tanh) + k sech^2],
     v_k(x) = e^{-ikx} sqrt(1/4pi) (1/eps) [(k^2 - 2 eps)(k/2 + i tanh) + k sech^2],
 
-    with tanh/sech taken at x. These are envelope approximations and are
+    with tanh/sech taken at x, written out here rather than taken from
+    `bogoliubov.mode_coefficients`, so tests built on it check the rate
+    engine's mode too. These are envelope approximations and are
     not normalized: far from the core |u|^2 - |v|^2 tends to
     2k^2(k^2 + 4)/(4 pi eps(k)), not 1 (0.045 at k = 0.1, 3.0 at k = 4).
     Gamma/gamma is a ratio at one k, so the factor cancels there; eta/gamma
@@ -225,8 +226,10 @@ def mode_amplitudes(k: float, x) -> BogoliubovMode:
     if k < K_MIN:
         raise ValueError(f"k = {k} below the supported minimum {K_MIN}")
     x = np.asarray(x, dtype=float)
-    bu, bv = mode_bracket(k, np.tanh(x), 1.0 / np.cosh(x) ** 2)
+    eps = math.sqrt(k * k * (k * k + 2.0))
+    common = k / 2.0 + 1j * np.tanh(x)
+    tail = k / np.cosh(x) ** 2
     pref = np.sqrt(1.0 / (4.0 * np.pi))
-    u = np.exp(1j * k * x) * pref * bu
-    v = np.exp(-1j * k * x) * pref * bv
+    u = np.exp(1j * k * x) * pref * ((k * k + 2.0 * eps) * common + tail) / eps
+    v = np.exp(-1j * k * x) * pref * ((k * k - 2.0 * eps) * common + tail) / eps
     return BogoliubovMode(k=k, u=u, v=v)

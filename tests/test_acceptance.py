@@ -82,10 +82,9 @@ def kernel_curvature_oracle(params):
     cos(qd) dq / int |D^(q)|^2 dq and kappa = int q^2 |D^|^2 / int |D^|^2.
     D is built from `mode_amplitudes` and `wannier_pair`, not from the rate
     engine's power table, and decays like sech^(2 alpha), so the FFT moment is
-    spectrally accurate on a periodic box of 80 xi. The Bogoliubov bracket
-    (`bogoliubov.mode_bracket`) is shared with the rate engine, so this test
-    does not check it; test_couplings.py's direct-trapezoid oracle writes the
-    bracket out on its own.
+    spectrally accurate on a periodic box of 80 xi. `mode_amplitudes` writes
+    the Bogoliubov bracket out by hand, so this oracle also checks the rate
+    engine's `bogoliubov.mode_coefficients`.
     """
     k0 = float(resonant_wavevector(qubit_gap(params)))
     x = np.linspace(-40.0, 40.0, 2 ** 14, endpoint=False)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson as scipy_simpson
+from scipy.special import loggamma
 
 from solq import couplings
 from solq.bogoliubov import group_velocity, resonant_wavevector
@@ -170,7 +171,7 @@ def direct_correlation(k, d, alpha, n_y=5001, y_half=40.0):
     """Re int D_k(y) D_k*(y - d) dy by the trapezoid rule on a grid widened by |d|.
 
     The bracket is written out here rather than taken from `bogoliubov`, so the
-    comparison also checks `mode_bracket`.
+    comparison also checks `mode_coefficients`.
     """
     y = np.linspace(-y_half - abs(d), y_half + abs(d), n_y)
     eps = math.sqrt(k * k * (k * k + 2.0))
@@ -259,7 +260,7 @@ def quad_amplitude(l, m, k, params):
     """g_lm(k) by adaptive quadrature of phi_l phi_m tanh (bu e^{iky} + bv e^{-iky}).
 
     The orbitals and the bracket are written out here, as in
-    `direct_correlation`, so the comparison also checks `mode_bracket`.
+    `direct_correlation`, so the comparison also checks `mode_coefficients`.
     """
     pair = wannier_pair(params)
     eps = math.sqrt(k * k * (k * k + 2.0))
@@ -284,8 +285,8 @@ def quad_amplitude(l, m, k, params):
 
 
 def test_amplitudes_match_adaptive_quadrature():
-    # the trapezoid sum on the rate engine's grid against scipy's adaptive
-    # quadrature, from the smallest PV k through the resonance to the cutoff
+    # the closed form against scipy's adaptive quadrature, from the smallest
+    # PV k through the resonance to the cutoff
     for params in (P, ModelParams(nu=0.6, mass_ratio=1.3)):
         w0 = qubit_gap(params)
         k0 = float(resonant_wavevector(w0))
@@ -295,6 +296,31 @@ def test_amplitudes_match_adaptive_quadrature():
                 want = quad_amplitude(l, m, k, params)
                 got = coupling_amplitude(l, m, k, params)
                 assert abs(got - want) < 1e-12 * abs(want), (params, k, l, m)
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_closed_form_transforms_match_scipy(p):
+    # Re ln Gamma against scipy on rows p, p + 5, ... of the strip
+    # Re z in [0.3, 6], |Im z| <= 30, so the five cases cover it once
+    for x in np.linspace(0.3, 6.0, 20)[p::5]:
+        for y in np.linspace(-30.0, 30.0, 121):
+            z = complex(x, y)
+            assert abs(couplings._re_lgamma(z) - loggamma(z).real) < 1e-13, z
+    # int tanh^p sech^(beta + 2j) e^{isy} dy against quad; the odd part of the
+    # integrand cancels, so quad sees 2 int_0^40 of cos or sin
+    trig = math.sin if p % 2 else math.cos
+    for beta in (2.0 * ALPHA, 1.3):
+        for s in (0.0, K0, 2.7):
+            sech_transform = math.exp((beta - 1.0) * math.log(2.0) - math.lgamma(beta)
+                                      + 2.0 * couplings._re_lgamma(complex(beta, s) / 2.0))
+            for j in (0, 1):
+                b = beta + 2.0 * j
+                val, err = quad(lambda y: math.tanh(y) ** p / math.cosh(y) ** b * trig(s * y),
+                                0.0, 40.0, epsabs=1e-13, epsrel=0.0, limit=400)
+                assert err < 1e-13
+                want = 2.0 * val * (1j if p % 2 else 1.0)
+                got = sech_transform * couplings._fourier_ratio(p, j, beta, s)
+                assert abs(got - want) < 1e-13 * sech_transform, (beta, s, j)
 
 
 def test_rwa_report_hierarchy():

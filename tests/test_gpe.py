@@ -184,6 +184,13 @@ def test_imprint_validation():
         imprint_solitons(g, [0.0, 0.5])
     with pytest.raises(ValueError):
         imprint_solitons(g, [16.0])
+    # a core 3 wall widths from the wall center (17.5) imprints as two tracker
+    # minima (14.569 and 14.664), so it is rejected; 3.5 widths give one
+    with pytest.raises(ValueError):
+        imprint_solitons(g, [14.5])
+    core = g.wall_center() - 3.5
+    found = _find_minima(imprint_solitons(g, [core]).density(), g)
+    assert len(found) == 1 and abs(found[0] - core) < 0.15
 
 
 def test_chain_must_fit_the_box():
