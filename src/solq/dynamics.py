@@ -41,6 +41,7 @@ from .couplings import RateSet
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-9
+GAMMA_RATIO_MAX = 1.0 + 1e-9  # largest |Gamma/gamma| with a semidefinite rate matrix
 
 PRODUCT_LABELS = ("ee", "eg", "ge", "gg")
 DICKE_LABELS = ("e", "s", "a", "g")
@@ -155,7 +156,7 @@ _SX_SUM = _SP1 + _SM1 + _SP2 + _SM2  # sum_i (sp_i + sm_i)
 
 
 def _check_rates(rates: RateSet):
-    if abs(rates.Gamma_over_gamma) > 1.0 + 1e-9:
+    if abs(rates.Gamma_over_gamma) > GAMMA_RATIO_MAX:
         raise ValueError(
             f"|Gamma/gamma| = {abs(rates.Gamma_over_gamma)} > 1: "
             "the rate matrix is not positive semidefinite"

@@ -24,16 +24,19 @@ Schroedinger equation is unstable only once dt * k_max^2 / 2 exceeds pi
 (Weideman & Herbst, SIAM J. Numer. Anal. 23 (1986) 485), which for the
 1/2 d2/dx2 kinetic term and k_max = pi / dx is dt = 2 dx^2 / pi; the cap is
 half of that. At the cap the cores of a 24-soliton, 2.5-xi chain (1024
-points, 92 xi) stay within 7e-6 xi of a quarter-step run to t = 22.5, and
-its relative energy drift over t = 100 is 4e-8; at 0.65 dx^2, where the
-instability sets in, it is 1.5e-5. The imaginary-time relaxations (soliton
-imprinting, impurity orbitals) run on real fields with real FFTs, since the
-kinetic factor is real and even. Imprinting applies its sign constraint inside
-the pointwise step N and once more on the returned state.
+points, 92 xi) stay within 3.4e-6 xi of a quarter-step run to t = 22.5, and
+its relative energy drift over t = 100 is 3.6e-8. Past the limit, at 0.65 to
+0.8 dx^2, that drift stays below 3e-7: the unstable modes grow from rounding,
+slowly within t = 100.
 
-The two localized impurity orbitals inside a frozen soliton (one-way
-coupling) relax together in imaginary time, as the even and odd parts of one
-real field.
+Imaginary time runs on real fields with real FFTs, since the kinetic factor
+is real and even. Its one use is the two localized impurity orbitals inside a
+frozen soliton (one-way coupling), which relax together as the even and odd
+parts of one real field.
+
+A soliton chain is imprinted by construction, as the product of tanh cores on
+the box background, with no relaxation; a single core is then stationary up
+to the overlap of its tails with the walls.
 """
 
 import math
@@ -52,9 +55,11 @@ WALL_INSET = 2.5     # wall center sits this far inside the grid edge
 # real-time dt <= DT_CAP_FACTOR * dx^2: half the split-step stability limit
 # dt k_max^2 / 2 = pi, which sits at dt = 2 dx^2 / pi (Weideman & Herbst 1986)
 DT_CAP_FACTOR = 1.0 / math.pi
-IMPRINT_COARSE_TIME = 3.0     # imprinting's coarse imaginary-time stage, at dt 0.003
-IMPRINT_FINE_DT_FACTOR = 0.1  # imprinting's fine imaginary-time dt, units of dx^2
-IMPRINT_MARGIN = 3.5  # core to wall center, in wall widths; 3.07 or less imprints two minima
+# nearest a core may sit to the wall center, in wall widths: the tracker reads
+# an imprinted core to 1e-3 xi only down to about 2.8 widths (four grids); by
+# 2.5 widths the core lies where the background has fallen below 1/sqrt(2),
+# which the tracker does not normalize by, and it reads it 0.17-0.25 xi inward
+IMPRINT_MARGIN = 3.5
 MIN_POINTS = 256     # grid rule: a power of two, at least MIN_POINTS points,
 MAX_SPACING = 0.125  # and spacing at most MAX_SPACING (xi/8)
 TRACK_FRAMES = 200   # frames of a multi_soliton_experiment run after the imprint
@@ -131,9 +136,9 @@ def _real_k(grid):
 def _strang(psi, grid, n_steps, dt, nonlinear, mass=1.0, imaginary=False, record_at=()):
     """n_steps Strang steps K/2 N K/2 of -1/(2 mass) d2/dx2 and the pointwise
     nonlinear(psi); returns (psi, records), with (t, psi) at the steps in
-    record_at. Imaginary time takes and keeps a real psi (real FFTs), real
-    time a complex one. A non-finite value (checked every 100 steps and at
-    the last) aborts.
+    record_at. Imaginary time (the impurity relaxation) takes and keeps a
+    real psi (real FFTs), real time a complex one. A non-finite value
+    (checked every 100 steps and at the last) aborts.
     """
     if imaginary:
         fft, ifft = np.fft.rfft, np.fft.irfft
@@ -260,17 +265,17 @@ def box_background(grid: Grid1D) -> np.ndarray:
 
 
 def imprint_solitons(grid: Grid1D, positions) -> LatticeField:
-    """Dark-soliton chain with nodes at the given positions.
+    """Dark-soliton chain with nodes at the given positions: the box
+    background times the product of tanh(x - p) over the positions.
 
-    Starts from a product of tanh cores on the relaxed background, then runs
-    fixed-chemical-potential imaginary time (IMPRINT_COARSE_TIME at dt 0.003,
-    then 0.5 at IMPRINT_FINE_DT_FACTOR dx^2) while re-imposing the sign
-    pattern inside every step. The sign constraint pins the nodes, so the
-    density relaxes onto the true stationary chain instead of the bare product
-    ansatz, whose overlapping tails depress the density between cores at
-    close spacing (the excess pressure visibly unzips a 2.5-xi chain).
-    Adjacent cores alternate sign, giving the pi phase jump per soliton.
-    Positions closer than one healing length are rejected as overlapping.
+    Adjacent cores have opposite signs, giving the pi phase jump per soliton.
+    A single core is stationary up to the overlap of its tails with the
+    walls: max|F| (see box_background) is at most 7.3e-11 on the 60- and
+    92-xi preset grids, and 5.5e-8 on a 30-xi box. The product is not
+    relaxed: at close spacing the overlapping tails depress the density
+    between cores, and the chain starts from that profile. Positions closer
+    than one healing length are rejected as overlapping, and so are cores
+    within IMPRINT_MARGIN wall widths of a wall center.
     """
     positions = sorted(float(p) for p in positions)
     if not positions:
@@ -282,26 +287,7 @@ def imprint_solitons(grid: Grid1D, positions) -> LatticeField:
         raise ValueError("soliton positions fall outside the usable interior")
 
     x = grid.x
-    psi = box_background(grid).copy()
-    sign = np.ones_like(x)
-    for p in positions:
-        core = np.tanh(x - p)
-        psi *= core
-        # np.sign keeps an on-grid node at exactly zero; mapping it to +1
-        # would bias every node half a cell leftward and break the mirror
-        # symmetry of a symmetric chain by a full grid cell
-        sign *= np.sign(core)
-
-    # imaginary time at fixed chemical potential mu = 1 on the real field:
-    # each step carries an e^{+mu dt} lift, so no norm constraint is needed
-    pot = grid.wall_potential()
-    for dt, t_stage in ((0.003, IMPRINT_COARSE_TIME),
-                        (IMPRINT_FINE_DT_FACTOR * grid.spacing ** 2, 0.5)):
-        lift = math.exp(dt)
-        psi, _ = _strang(psi, grid, int(round(t_stage / dt)), dt,
-                         lambda p: np.abs(_kernels.decay_step(p, pot, dt) * lift) * sign,
-                         imaginary=True)
-    psi = np.abs(psi) * sign
+    psi = box_background(grid) * np.prod([np.tanh(x - p) for p in positions], axis=0)
     return LatticeField(grid=grid, psi=psi.astype(complex))
 
 
@@ -395,7 +381,7 @@ def _find_minima(density, grid):
     refined. Normalizing by the empty-box profile keeps cores detectable on
     the wall foothills without the falloff itself reading as a dip."""
     x = grid.x
-    window = grid.wall_center() - 2.41 * WALL_WIDTH  # background > 0.8 inside
+    window = grid.wall_center() - 2.41 * WALL_WIDTH  # background > 0.6 inside
     bg_sq = box_background(grid) ** 2
     d = np.divide(density, bg_sq, out=np.ones_like(density), where=bg_sq > 0.5)
     i = np.flatnonzero(np.abs(x) < window)

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .boundstates import pt_spectrum
 from .couplings import rate_set, rwa_report, RateSet
-from .dynamics import DriveParams, basis_state, dicke_transform, evolve
+from .dynamics import GAMMA_RATIO_MAX, DriveParams, basis_state, dicke_transform, evolve
 from .entanglement import steady_concurrence_formula, undriven_concurrence_formula
 from .gpe import (
     Grid1D, fitted_points, imprint_solitons, multi_soliton_experiment, relax_impurity,
@@ -289,7 +289,7 @@ PRESETS = {
     }),
     "fig5a": Preset(_build_fig5a, 120, {"omega": 0.35, "d_min": 0.5, "d_max": 6.0}),
     "fig5b": Preset(_build_fig5b, 201, {"d": 2.5, "omega_max": 2.0}),
-    "figS1": Preset(_build_figS1, 2048, {"box_length": 60.0}),
+    "figS1": Preset(_build_figS1, None, {"box_length": 60.0}),
     "figS3": Preset(_build_figS3, None, {
         "count": 24, "spacing": 2.5,
         "box_length": 100.0 / FIGS3_XI_UM, "t_final": 0.100 * FIGS3_MU_RAD_S,
@@ -325,6 +325,6 @@ def validate_report(params: ModelParams, d_check: float = 2.5) -> tuple[dict, bo
     report["d_check"] = d_check
     report["Gamma_over_gamma"] = r.Gamma_over_gamma
     report["eta_over_gamma"] = r.eta_over_gamma
-    bounded = abs(r.Gamma_over_gamma) <= 1.0 + 1e-9
+    bounded = abs(r.Gamma_over_gamma) <= GAMMA_RATIO_MAX
     report["rates_bounded"] = "pass" if bounded else "fail"
     return report, ladder.qubit_window and rwa_valid and bounded

@@ -131,8 +131,9 @@ def test_scenario_settings_are_checked_and_typed():
     sc = Scenario("figS3", settings={"count": "3", "spacing": "8"})
     assert sc.settings["count"] == 3 and isinstance(sc.settings["count"], int)
     assert sc.settings["spacing"] == 8.0 and isinstance(sc.settings["spacing"], float)
-    # figS3's default grid is the fewest points the GPE grid rule allows
+    # each GPE preset's default grid is the fewest points the grid rule allows
     assert sc.settings["t_final"] == 22.5 and sc.points == 1024
+    assert Scenario("figS1").points == 512
     fig4 = Scenario("fig4", settings={"initial_state": "eg"})
     assert fig4.settings["initial_state"] == "eg" and fig4.points == 301
 

@@ -47,10 +47,8 @@ def test_tracing_wraps_the_gpe_entry_points():
         assert op[name + ".calls"] == 1
     assert op["gpe.split_step_evolve.steps"] == 7
     assert op["kernels.phase_step.calls"] == 7
-    # one decay step per imaginary-time step of the imprint's two stages
-    fine_dt = gpe.IMPRINT_FINE_DT_FACTOR * grid.spacing ** 2
-    assert op["kernels.decay_step.calls"] == (round(gpe.IMPRINT_COARSE_TIME / 0.003)
-                                              + round(0.5 / fine_dt))
+    # the imprint runs no imaginary time
+    assert op["kernels.decay_step.calls"] == 0
     assert op["gpe.relax_impurity.steps"] == 10
     assert np.isclose(op["trace.self_sum_s"], op["gpe.imprint_solitons.s"]
                       + op["gpe.split_step_evolve.s"] + op["gpe.relax_impurity.s"])
