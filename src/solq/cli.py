@@ -13,6 +13,7 @@ settings listed in `--help` for each subcommand.
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -59,6 +60,7 @@ def _read_config(path: str | None) -> tuple[ModelParams, dict]:
     return ModelParams(**model), {k: v for k, v in cfg.items() if k not in MODEL_KEYS}
 
 
+@functools.cache  # one tree per process: main() may run many times in one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="solq",

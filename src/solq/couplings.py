@@ -214,7 +214,10 @@ def rate_set(d: float, params: ModelParams) -> RateSet:
     c12 = float(power[0] @ cos_qd)
 
     wmax = OMEGA_MAX_FACTOR * w0
-    f = power[1:] @ cos_qd / vgw
+    # numpy's own loop, not a BLAS dgemv: rate_set runs on the workers of
+    # scenarios._sweep, and OpenBLAS threads nested under them contend for the
+    # same cores (on 2 cores some processes ran a warm fig5a sweep 2x slower)
+    f = np.einsum("ij,j->i", power[1:], cos_qd) / vgw
     f0 = c12 / vg0
     pv = principal_value_integral(f, f0, wgrid, w0, wmax)
     eta_over_gamma = pv * vg0 / (4.0 * math.pi * c11)

@@ -55,10 +55,10 @@ WALL_INSET = 2.5     # wall center sits this far inside the grid edge
 # real-time dt <= DT_CAP_FACTOR * dx^2: half the split-step stability limit
 # dt k_max^2 / 2 = pi, which sits at dt = 2 dx^2 / pi (Weideman & Herbst 1986)
 DT_CAP_FACTOR = 1.0 / math.pi
-# nearest a core may sit to the wall center, in wall widths: the tracker reads
-# an imprinted core to 1e-3 xi only down to about 2.8 widths (four grids); by
-# 2.5 widths the core lies where the background has fallen below 1/sqrt(2),
-# which the tracker does not normalize by, and it reads it 0.17-0.25 xi inward
+# nearest a core may sit to the wall center, in wall widths: the tracker finds
+# an imprinted core, to 2e-4 xi, only down to about 2.8 widths (five grids);
+# nearer, its stencil reaches where the background falls below 1/sqrt(2), which
+# the tracker does not normalize by, and the core is not found
 IMPRINT_MARGIN = 3.5
 MIN_POINTS = 256     # grid rule: a power of two, at least MIN_POINTS points,
 MAX_SPACING = 0.125  # and spacing at most MAX_SPACING (xi/8)
@@ -379,19 +379,20 @@ class SolitonTracks:
 def _find_minima(density, grid):
     """Deep local minima of the wall-normalized density, parabolically
     refined. Normalizing by the empty-box profile keeps cores detectable on
-    the wall foothills without the falloff itself reading as a dip."""
-    x = grid.x
-    window = grid.wall_center() - 2.41 * WALL_WIDTH  # background > 0.6 inside
+    the wall foothills without the falloff itself reading as a dip. The
+    density is normalized only where the background exceeds 1/sqrt(2), and a
+    minimum counts only if its three-point stencil lies there: a core nearer
+    the wall is not found, rather than read at the edge of that region."""
     bg_sq = box_background(grid) ** 2
-    d = np.divide(density, bg_sq, out=np.ones_like(density), where=bg_sq > 0.5)
-    i = np.flatnonzero(np.abs(x) < window)
-    i = i[(i > 0) & (i < len(d) - 1)]
+    inside = bg_sq > 0.5
+    d = np.divide(density, bg_sq, out=np.ones_like(density), where=inside)
+    i = np.flatnonzero(inside[:-2] & inside[1:-1] & inside[2:]) + 1
     lo, mid, hi = d[i - 1], d[i], d[i + 1]
     keep = (mid <= lo) & (mid < hi) & (mid < 0.5)
     i, lo, mid, hi = i[keep], lo[keep], mid[keep], hi[keep]
     denom = hi - 2.0 * mid + lo
     shift = np.divide(0.5 * (lo - hi), denom, out=np.zeros_like(denom), where=denom > 0)
-    return x[i] + shift * grid.spacing
+    return grid.x[i] + shift * grid.spacing
 
 
 def multi_soliton_experiment(

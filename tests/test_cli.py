@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import solq
-from solq import scenarios
+from solq import cli, scenarios
 from solq.cli import COMMANDS, build_parser, main, parse_config
 from solq.couplings import _table, rate_set
 from solq.dynamics import DriveParams
@@ -304,6 +304,26 @@ def test_reruns_are_byte_identical(tmp_path):
     assert main(args) == 0
     second = [(tmp_path / n).read_bytes() for n in ("fig5b.csv", "fig5b.meta")]
     assert first == second
+
+
+def test_cached_parser_serves_every_command(tmp_path, monkeypatch, capsys):
+    # main builds its parser once per process; commands run one after another
+    # through it write the same bytes as runs that each build a fresh one
+    assert build_parser() is build_parser()
+    runs = (["steady", "--scenario", "fig5a", "--points", "3"], ["steady"],
+            ["rates", "--points", "2"])
+
+    def outputs(out):
+        for argv in runs:
+            assert main(argv + ["--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    cached = outputs(tmp_path / "cached")
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    fresh = outputs(tmp_path / "fresh")
+    assert list(cached) == ["fig2.csv", "fig2.meta", "fig5a.csv", "fig5a.meta",
+                            "fig5b.csv", "fig5b.meta"]
+    assert cached == fresh
 
 
 def test_sweep_threads_give_identical_bytes(tmp_path, monkeypatch):

@@ -195,12 +195,29 @@ def test_imprint_validation():
         imprint_solitons(g, [16.0])
     # cores nearer the wall center (17.5) than IMPRINT_MARGIN = 3.5 wall
     # widths are rejected: the tracker reads a core at 3 widths (14.5) to
-    # 5e-5 xi, but one at 2.5 widths 0.19 xi inward
+    # 5e-5 xi, but does not find one at 2.5 widths
     with pytest.raises(ValueError):
         imprint_solitons(g, [14.5])
     core = g.wall_center() - 3.5
     found = _find_minima(imprint_solitons(g, [core]).density(), g)
     assert len(found) == 1 and abs(found[0] - core) < 1e-3
+
+
+@pytest.mark.parametrize("points, length", [(256, 30.0), (512, 40.0), (512, 60.0),
+                                            (1024, 92.0), (2048, 60.0)])
+def test_cores_on_the_wall_foothills_are_not_misread(points, length):
+    # a product core at 2.5 wall widths lies where the background has fallen
+    # below 1/sqrt(2); read at the edge of the normalized region it would sit
+    # 0.17-0.25 xi inward, so it must not be found and a tracked run reports
+    # the loss. At 3 widths the stencil is normalized and the core is read to
+    # 1e-4 xi (measured 8.5e-5)
+    g = Grid1D(points=points, length=length)
+    bg = box_background(g)
+    for width, expected in ((2.5, 0), (3.0, 1)):
+        core = g.wall_center() - width * gpe.WALL_WIDTH
+        found = _find_minima((bg * np.tanh(g.x - core)) ** 2, g)
+        assert len(found) == expected
+        assert np.all(np.abs(found - core) < 1e-4)
 
 
 def test_chain_must_fit_the_box():
@@ -279,12 +296,13 @@ def _density(psi):
 def _minima_loop(density, grid):
     """The pointwise scan `_find_minima` vectorizes, kept as its reference."""
     x = grid.x
-    window = grid.wall_center() - 2.41 * gpe.WALL_WIDTH
     bg_sq = box_background(grid) ** 2
     d = np.divide(density, bg_sq, out=np.ones_like(density), where=bg_sq > 0.5)
     found = []
-    for i in np.where(np.abs(x) < window)[0]:
-        if 0 < i < len(d) - 1 and d[i] <= d[i - 1] and d[i] < d[i + 1] and d[i] < 0.5:
+    for i in range(1, len(d) - 1):
+        if min(bg_sq[i - 1:i + 2]) <= 0.5:
+            continue
+        if d[i] <= d[i - 1] and d[i] < d[i + 1] and d[i] < 0.5:
             denom = d[i + 1] - 2.0 * d[i] + d[i - 1]
             shift = 0.0 if denom <= 0 else 0.5 * (d[i - 1] - d[i + 1]) / denom
             found.append(x[i] + shift * grid.spacing)
