@@ -18,10 +18,11 @@ bu/bv the Bogoliubov bracket envelopes. Both ratios are even in d, equal 1 and
 (cutoff-dependent) at contact, and vanish at large separation; Cauchy-Schwarz
 guarantees |Gamma/gamma| <= 1.
 
-C12 is the autocorrelation of D_k, so by Wiener-Khinchin every separation
-follows from one table of |FFT D_k|^2 over the resonant mode and the PV
-k-grid, the only samples of the mode: `rate_set` builds it once per parameter set
-and grid size, then costs one cosine matrix-vector product per separation.
+C12 is the autocorrelation of D_k, so by Wiener-Khinchin C12(k; d) = P_k @ cos(q d)
+with P_k = |FFT D_k|^2. The PV integral is linear in C12, so it applies to
+every q column of P over the PV k-grid at once: `rate_set` builds, once per
+parameter set and grid, the resonant row P_k0 and the PV row over q, and then
+costs two dot products with cos(q d) per separation.
 """
 
 import cmath
@@ -48,10 +49,10 @@ _FFT_CHUNK = 1 << 16   # complex samples per FFT batch (bounds the temporaries)
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
 
-def _spectral_power(karr, alpha, n_y):
+def _spectral_power(karr, alpha, n_y, y_half):
     """Folded power spectra of D_k: returns q >= 0 and P with C12 = P @ cos(q |d|).
 
-    D_k(y) is sampled on n_y points of [-Y_HALF, Y_HALF] and zero-padded to the
+    D_k(y) is sampled on n_y points of [-y_half, y_half] and zero-padded to the
     next power of two >= 2 n_y, so the circular autocorrelation of the samples
     is the linear one (Wiener-Khinchin) and equals the trapezoid sum of
     Re D_k(y) D_k*(y - d) at every grid lag. P[k, q] = |FFT D_k|^2 dy/nfft with
@@ -60,7 +61,7 @@ def _spectral_power(karr, alpha, n_y):
     which is exponentially small here.
     """
     karr = np.atleast_1d(np.asarray(karr, dtype=float))
-    y = np.linspace(-Y_HALF, Y_HALF, n_y)
+    y = np.linspace(-y_half, y_half, n_y)
     dy = y[1] - y[0]
     th, sech = np.tanh(y), 1.0 / np.cosh(y)
     ssq, overlap = sech * sech, th ** 2 * sech ** (2.0 * alpha)
@@ -83,7 +84,7 @@ def _spectral_power(karr, alpha, n_y):
 
 def correlation_panel(karr, d, alpha, n_y=N_Y):
     """C12(k; d) = Re int dy D_k(y) D_k*(y - d) for every k in karr."""
-    q, power = _spectral_power(karr, alpha, n_y)
+    q, power = _spectral_power(karr, alpha, n_y, Y_HALF)
     return power @ np.cos(q * abs(d))
 
 
@@ -100,8 +101,9 @@ def principal_value_grid(w0, wmax, n_omega=N_OMEGA):
     return np.concatenate([wa, wb, wc])
 
 
-def simpson(y, x):
-    """Composite Simpson's rule for samples y on an increasing, irregular grid x.
+def simpson_weights(x):
+    """Weights w of composite Simpson's rule on an increasing, irregular grid x:
+    the integral of samples y over x is w @ y (along y's first axis).
 
     Simpson's three-point rule over consecutive pairs of intervals; with an
     even point count the last interval takes Cartwright's three-point
@@ -109,42 +111,43 @@ def simpson(y, x):
     at least three points.
     """
     h = np.diff(x)
-    n = len(y) - 2 + len(y) % 2  # intervals covered by the pairs
+    n = len(x) - 2 + len(x) % 2  # intervals covered by the pairs
     h0, h1 = h[0:n:2], h[1:n:2]
     hsum, hprod, ratio = h0 + h1, h0 * h1, h0 / h1
-    total = np.sum(hsum / 6.0 * (
-        y[0:n - 1:2] * (2.0 - 1.0 / ratio)
-        + y[1:n:2] * (hsum * (hsum / hprod))
-        + y[2:n + 1:2] * (2.0 - ratio)
-    ))
-    if len(y) % 2 == 0:
+    w = np.zeros(len(x))
+    w[0:n - 1:2] += hsum / 6.0 * (2.0 - 1.0 / ratio)
+    w[1:n:2] += hsum / 6.0 * (hsum * (hsum / hprod))
+    w[2:n + 1:2] += hsum / 6.0 * (2.0 - ratio)
+    if len(x) % 2 == 0:
         a, b = h[-2], h[-1]
-        total += (
-            (2 * b ** 2 + 3 * a * b) / (6 * (b + a)) * y[-1]
-            + (b ** 2 + 3.0 * a * b) / (6 * a) * y[-2]
-            - b ** 3 / (6 * a * (a + b)) * y[-3]
-        )
-    return total
+        w[-1] += (2 * b ** 2 + 3 * a * b) / (6 * (b + a))
+        w[-2] += (b ** 2 + 3.0 * a * b) / (6 * a)
+        w[-3] -= b ** 3 / (6 * a * (a + b))
+    return w
 
 
 def principal_value_integral(f, f0, wgrid, w0, wmax):
-    """PV int_0^wmax f(w)/(w - w0) dw by singularity subtraction.
+    """PV int_0^wmax f(w)/(w - w0) dw by singularity subtraction, along f's first axis.
 
     The subtracted integrand (f - f0)/(w - w0) is regular at the resonance and
     integrated by Simpson's rule on wgrid; the subtracted pole contributes the
     analytic log term f0 ln((wmax - w0)/w0). Grid points landing on the pole
     take the limit value f'(w0), estimated by a central difference; zeroing
-    them instead would cost an O(h) error there.
+    them instead would cost an O(h) error there. All of it is linear in f and
+    f0, so it is one weight row applied to f plus a coefficient of f0: f may
+    hold one integrand per column, with f0 one value per column.
     """
     x = wgrid - w0
-    integ = (f - f0) / np.where(np.abs(x) < 1e-12, 1.0, x)
-    on_pole = np.nonzero(np.abs(x) < 1e-12)[0]
-    for i in on_pole:
+    w = simpson_weights(wgrid)
+    on_pole = np.abs(x) < 1e-12
+    row = np.divide(w, x, out=np.zeros_like(w), where=~on_pole)
+    f0_coef = math.log((wmax - w0) / w0) - row.sum()
+    for i in np.nonzero(on_pole)[0]:
         if 0 < i < len(wgrid) - 1:
-            integ[i] = (f[i + 1] - f[i - 1]) / (wgrid[i + 1] - wgrid[i - 1])
-        else:
-            integ[i] = 0.0
-    return simpson(integ, x=wgrid) + f0 * math.log((wmax - w0) / w0)
+            slope = w[i] / (wgrid[i + 1] - wgrid[i - 1])
+            row[i + 1] += slope
+            row[i - 1] -= slope
+    return row @ f + f0_coef * f0
 
 
 @dataclass(frozen=True)
@@ -162,21 +165,27 @@ _TABLE_LOCK = threading.Lock()
 
 
 @functools.lru_cache(maxsize=1)
-def _table(alpha, w0, n_y, n_omega):
-    """Spectral power over [k0] + the PV k-grid, shared by every separation.
+def _table(alpha, w0, n_y, n_omega, omega_max_factor, y_half):
+    """What every separation shares: q, the resonant power row, the PV row, k0, vg0.
 
-    Also holds the on-shell group velocity of the PV grid. One entry: callers
-    that change parameters every call (a parameter sweep) would otherwise
-    accumulate ~7 MB tables. The arrays are read-only because every caller
-    receives the same ones.
+    C12(k0; d) = power0 @ cos(q d), and the PV integral of C12(k(w); d)/vg(w)
+    is pv @ cos(q d): the PV rule is applied once to every q column of the
+    power table over the PV k-grid, which is then dropped. Every input is in
+    the key. One entry of three vectors over q (513 values at the default
+    N_Y), read-only because every caller receives the same ones.
     """
-    wgrid = principal_value_grid(w0, OMEGA_MAX_FACTOR * w0, n_omega)
+    wmax = omega_max_factor * w0
+    wgrid = principal_value_grid(w0, wmax, n_omega)
     karr = np.concatenate([[resonant_wavevector(w0)], resonant_wavevector(wgrid)])
-    vgw = group_velocity(karr[1:])
-    q, power = _spectral_power(karr, alpha, n_y)
-    for arr in (wgrid, karr, vgw, q, power):
+    q, power = _spectral_power(karr, alpha, n_y, y_half)
+    k0 = float(karr[0])
+    vg0 = float(group_velocity(k0))
+    power[1:] /= group_velocity(karr[1:])[:, None]
+    pv = principal_value_integral(power[1:], power[0] / vg0, wgrid, w0, wmax)
+    power0 = power[0].copy()  # not a view, which would keep the whole table alive
+    for arr in (q, power0, pv):
         arr.flags.writeable = False
-    return wgrid, karr, vgw, q, power
+    return q, power0, pv, k0, vg0
 
 
 def _prefactor(params: ModelParams, p: int):
@@ -193,7 +202,8 @@ def rate_set(d: float, params: ModelParams) -> RateSet:
 
     gamma is reported in mu/hbar with the reservoir quantization length fixed
     to xi (only the ratios enter the dynamics). Even in d by construction.
-    The table is sized by N_Y and N_OMEGA as they stand at the call.
+    The table follows N_Y, N_OMEGA, OMEGA_MAX_FACTOR and Y_HALF as they stand
+    at the call.
     """
     w0 = qubit_gap(params)
     if w0 <= 0.0:
@@ -203,30 +213,19 @@ def rate_set(d: float, params: ModelParams) -> RateSet:
     if not d < math.inf:
         raise ValueError(f"separation d must be finite, got {d}")
     with _TABLE_LOCK:  # concurrent sweep workers build a missing table once
-        wgrid, karr, vgw, q, power = _table(pair.alpha, w0, N_Y, N_OMEGA)
-    k0 = float(karr[0])
-    vg0 = float(group_velocity(k0))
+        q, power0, pv, k0, vg0 = _table(pair.alpha, w0, N_Y, N_OMEGA, OMEGA_MAX_FACTOR, Y_HALF)
 
-    # c11 and c12 through the same expression, so Gamma/gamma is exactly 1 at
-    # d = 0 (a matrix-vector product may sum row 0 in another order)
+    # c11 and c12 through the same expression, so Gamma/gamma is exactly 1 at d = 0
     cos_qd = np.cos(q * d)
-    c11 = float(power[0] @ np.cos(q * 0.0))
-    c12 = float(power[0] @ cos_qd)
-
-    wmax = OMEGA_MAX_FACTOR * w0
-    # numpy's own loop, not a BLAS dgemv: rate_set runs on the workers of
-    # scenarios._sweep, and OpenBLAS threads nested under them contend for the
-    # same cores (on 2 cores some processes ran a warm fig5a sweep 2x slower)
-    f = np.einsum("ij,j->i", power[1:], cos_qd) / vgw
-    f0 = c12 / vg0
-    pv = principal_value_integral(f, f0, wgrid, w0, wmax)
-    eta_over_gamma = pv * vg0 / (4.0 * math.pi * c11)
+    c11 = float(power0 @ np.cos(q * 0.0))
+    c12 = float(power0 @ cos_qd)
+    eta_over_gamma = float(pv @ cos_qd) * vg0 / (4.0 * math.pi * c11)
     gamma = 2.0 * pref ** 2 * c11 / (4.0 * math.pi * vg0)
 
     return RateSet(
         gamma=gamma,
         Gamma_over_gamma=c12 / c11,
-        eta_over_gamma=float(eta_over_gamma),
+        eta_over_gamma=eta_over_gamma,
         d=d,
         k0=k0,
     )

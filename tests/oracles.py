@@ -135,6 +135,27 @@ def steady_state_closed_form(rates: RateSet, drive: DriveParams) -> np.ndarray:
     return U_DICKE @ m @ U_DICKE
 
 
+class SteadyOptimum(NamedTuple):
+    omega: float          # the drive Omega* that maximizes the steady concurrence
+    concurrence: float    # C* there
+
+
+def steady_optimum(rates: RateSet) -> SteadyOptimum:
+    """The maximum over the drive of the steady concurrence, in closed form.
+
+    In units of gamma, with a = |Gamma + 2 i eta|, B = ((1 + Gamma)^2 + 4 eta^2)/4
+    and x = Omega^2, the steady formula is C = 1/2 max(0, x (a - x)/(x^2 + x + B)).
+    dC/dx = 0 gives (a + 1) x^2 + 2 B x - a B = 0, whose positive root is
+    x* = (sqrt(B^2 + a B (a + 1)) - B)/(a + 1).
+    """
+    _check_rates(rates)
+    big, eta = rates.Gamma_over_gamma, rates.eta_over_gamma
+    a = abs(complex(big, 2.0 * eta))
+    b = ((1.0 + big) ** 2 + 4.0 * eta * eta) / 4.0
+    x = (math.sqrt(b * b + a * b * (a + 1.0)) - b) / (a + 1.0)
+    return SteadyOptimum(math.sqrt(x), 0.5 * max(0.0, x * (a - x) / (x * x + x + b)))
+
+
 class ClosedFormConcurrence(NamedTuple):
     c_outer: float    # outer antidiagonal |rho_14| branch
     c_inner: float    # inner antidiagonal |rho_23| branch

@@ -31,7 +31,7 @@ from solq.boundstates import pt_spectrum, wannier_pair
 from solq.couplings import rate_set, rwa_report
 from oracles import (
     analytic_undriven, dicke_matrix, element, gpe_energy, mode_amplitudes, phi0, phi1,
-    steady_state_closed_form,
+    steady_optimum, steady_state_closed_form,
 )
 from solq.dynamics import DensityMatrix4, DriveParams, basis_state, evolve, steady_state
 from solq.entanglement import (
@@ -245,6 +245,20 @@ def test_06_steady_concurrence_peaks():
     # DEFAULT exponent is derived anywhere, and changing either moves every
     # pinned rate.
     assert ok_d, f"separation optimum {d_star:.3f} outside [2, 3]"
+
+
+def test_06_omega_star_matches_the_closed_form_optimum():
+    # acceptance 6's drive optimum against the steady formula's closed-form
+    # maximum at the same separation
+    rates = rates_at(2.5)
+    omegas = np.linspace(0.05, 1.0, 191)
+    c_om = [steady_concurrence_formula(rates, DriveParams(omega_rabi=om)) for om in omegas]
+    best = steady_optimum(rates)
+    assert abs(parabolic_peak(omegas, np.array(c_om)) - best.omega) <= omegas[1] - omegas[0]
+    c_best = steady_concurrence_formula(rates, DriveParams(omega_rabi=best.omega))
+    assert abs(c_best - best.concurrence) < 1e-15
+    assert c_best >= max(c_om)
+    assert abs(best.omega - 0.425092) < 5e-7 and abs(best.concurrence - 0.0982479) < 5e-8
 
 
 def test_07_impurity_levels_match_analytic_ladder():

@@ -10,7 +10,9 @@ from solq.bogoliubov import group_velocity, resonant_wavevector
 from solq.boundstates import wannier_pair
 from solq.couplings import (
     N_OMEGA,
+    N_Y,
     OMEGA_MAX_FACTOR,
+    Y_HALF,
     _table,
     correlation_panel,
     coupling_amplitude,
@@ -18,7 +20,7 @@ from solq.couplings import (
     principal_value_integral,
     rate_set,
     rwa_report,
-    simpson,
+    simpson_weights,
 )
 from solq.model import ModelParams, chi_over_g, qubit_gap, wannier_alpha
 
@@ -26,6 +28,15 @@ P = ModelParams()
 ALPHA = wannier_alpha(P)
 W0 = qubit_gap(P)
 K0 = float(resonant_wavevector(W0))
+PARAM_SETS = (P, ModelParams(nu=0.6, mass_ratio=1.3), ModelParams(nu=0.78, mass_ratio=2.0))
+
+
+def pv_grid(params):
+    """rate_set's PV frequency grid for params, its wavevectors and group velocities."""
+    w0 = qubit_gap(params)
+    wgrid = principal_value_grid(w0, OMEGA_MAX_FACTOR * w0)
+    karr = resonant_wavevector(wgrid)
+    return w0, wgrid, karr, group_velocity(karr)
 
 
 def test_correlation_is_even_in_separation():
@@ -114,22 +125,51 @@ def test_simpson_matches_scipy(n):
         x = np.cumsum(rng.uniform(0.01, 1.0, n))
         y = np.sin(x) + rng.normal(size=n)
         oracle = scipy_simpson(y, x=x)
-        assert abs(simpson(y, x) - oracle) <= 1e-12 * abs(oracle)
+        assert abs(simpson_weights(x) @ y - oracle) <= 1e-12 * abs(oracle)
 
 
-def test_simpson_matches_scipy_on_pv_integrands(monkeypatch):
-    # the subtracted integrands that rate_set's PV integral hands to simpson,
-    # on the 1600-point grid, for three parameter sets
-    handed = []
-    monkeypatch.setattr(couplings, "simpson", lambda y, x: handed.append((y, x)) or 0.0)
-    for params in (P, ModelParams(nu=0.6, mass_ratio=1.3), ModelParams(nu=0.78, mass_ratio=2.0)):
-        for d in (0.0, 1.0, 2.5, 6.0):
-            rate_set(d, params)
-    monkeypatch.undo()
-    assert len(handed) == 12 and len(handed[0][1]) == N_OMEGA - 1
-    for y, x in handed:
-        oracle = scipy_simpson(y, x=x)
-        assert abs(couplings.simpson(y, x) - oracle) <= 1e-12 * abs(oracle)
+def test_simpson_matches_scipy_on_pv_integrands():
+    # the subtracted integrands (f - f0)/(w - w0) that rate_set's table hands
+    # to the PV rule, one per q column of the power table on the 1600-point
+    # grid, for three parameter sets; the on-pole row is the central difference
+    for params in PARAM_SETS:
+        w0, wgrid, karr, vgw = pv_grid(params)
+        wmax = OMEGA_MAX_FACTOR * w0
+        k0 = float(resonant_wavevector(w0))
+        _, power = couplings._spectral_power(
+            np.concatenate([[k0], karr]), wannier_pair(params).alpha, N_Y, Y_HALF)
+        f, f0 = power[1:] / vgw[:, None], power[0] / float(group_velocity(k0))
+        x = wgrid - w0
+        (pole,) = np.nonzero(np.abs(x) < 1e-12)[0]
+        integ = (f - f0) / np.where(np.abs(x) < 1e-12, 1.0, x)[:, None]
+        integ[pole] = (f[pole + 1] - f[pole - 1]) / (wgrid[pole + 1] - wgrid[pole - 1])
+        assert integ.shape == (N_OMEGA - 1, power.shape[1])
+        oracle = scipy_simpson(integ, x=wgrid, axis=0)
+        assert np.all(np.abs(simpson_weights(wgrid) @ integ - oracle) <= 1e-12 * np.abs(oracle))
+        # and the PV rule, applied to every column at once, is that integral
+        # plus the log term
+        pv = principal_value_integral(f, f0, wgrid, w0, wmax)
+        want = oracle + f0 * math.log((wmax - w0) / w0)
+        assert np.max(np.abs(pv - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_rate_table_matches_the_per_separation_route():
+    # rate_set takes eta from one PV row over q, built once per table; the
+    # route it replaces takes C12 over the whole PV k-grid at each separation
+    # and integrates that
+    for params in PARAM_SETS:
+        w0, wgrid, karr, vgw = pv_grid(params)
+        alpha = wannier_pair(params).alpha
+        k0 = float(resonant_wavevector(w0))
+        vg0 = float(group_velocity(k0))
+        c11 = float(correlation_panel(k0, 0.0, alpha)[0])
+        for d in (0.0, 0.5, 1.0, 2.2, 2.5, 6.0, 10.0):
+            c12 = float(correlation_panel(k0, d, alpha)[0])
+            pv = principal_value_integral(correlation_panel(karr, d, alpha) / vgw, c12 / vg0,
+                                          wgrid, w0, OMEGA_MAX_FACTOR * w0)
+            want = pv * vg0 / (4.0 * math.pi * c11)
+            got = rate_set(d, params).eta_over_gamma
+            assert abs(got - want) < 1e-11 * max(abs(want), 0.01), (params, d, got, want)
 
 
 def test_pv_excision_independence():
@@ -205,8 +245,8 @@ def test_panel_matches_direct_trapezoid():
 
 def test_rate_table_cache_tracks_its_key(monkeypatch):
     # every input the cached table depends on is in its key: after any other
-    # parameter set or grid size, and on a repeat, rate_set must return what
-    # it returns from a cold cache
+    # parameter set, grid size, cutoff or support, and on a repeat, rate_set
+    # must return what it returns from a cold cache
     cases = [
         (P, {}),
         (ModelParams(nu=0.7), {}),
@@ -214,13 +254,15 @@ def test_rate_table_cache_tracks_its_key(monkeypatch):
         (ModelParams(wannier_convention="eigenstate"), {}),
         (P, {"N_Y": 401}),
         (P, {"N_OMEGA": 801}),
+        (P, {"OMEGA_MAX_FACTOR": 100}),
+        (P, {"Y_HALF": 20.0}),
         (P, {}),
     ]
 
     def rates(params, grids):
         with monkeypatch.context() as m:
-            for name, size in grids.items():
-                m.setattr(couplings, name, size)
+            for name, value in grids.items():
+                m.setattr(couplings, name, value)
             return rate_set(2.5, params)
 
     cold = []
