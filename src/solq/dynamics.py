@@ -94,23 +94,23 @@ def _validate_stack(m: np.ndarray) -> np.ndarray:
 class DensityMatrix4:
     """A validated 4x4 density matrix in the product basis.
 
-    `concurrence` is the state's Wootters concurrence, set at validation.
+    `matrix` is a read-only copy, `concurrence` its Wootters concurrence, set at validation.
     """
 
     matrix: np.ndarray
     concurrence: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        conc = _validate_stack(m[None])
-        object.__setattr__(self, "concurrence", float(conc[0]))
+        object.__setattr__(self, "concurrence", float(_validate_stack(m[None])[0]))
 
     @classmethod
     def _stack(cls, mats: np.ndarray) -> tuple:
-        """One state per matrix of an (n, 4, 4) stack, validated as a batch."""
+        """One state per matrix of an (n, 4, 4) stack (read-only), validated as a batch."""
         states = []
         for m, c in zip(mats, _validate_stack(mats).tolist()):
             state = object.__new__(cls)
@@ -233,6 +233,7 @@ def evolve(
         vec[n + 1] = vec[n] + incs[k] @ vec[n]
     rho = vec.reshape(-1, 4, 4)
     rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
+    rho.flags.writeable = False
     return Trajectory(times=t_grid, states=DensityMatrix4._stack(rho))
 
 

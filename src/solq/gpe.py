@@ -47,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .model import ModelParams
+from .model import ModelParams, well_depth
 
 WALL_HEIGHT = 50.0   # box wall height, units of mu
 WALL_WIDTH = 1.0     # wall rise width, units of xi
@@ -131,6 +131,11 @@ class LatticeField:
 def _real_k(grid):
     """Wavenumbers of the real FFT of a field on the grid."""
     return 2.0 * np.pi * np.fft.rfftfreq(grid.points, d=grid.spacing)
+
+
+def _kinetic(f, grid, mass=1.0):
+    """-1/(2 mass) f'' of a real field on the grid, spectrally (real FFTs)."""
+    return np.fft.irfft(_real_k(grid) ** 2 / (2.0 * mass) * np.fft.rfft(f))
 
 
 def _strang(psi, grid, n_steps, dt, nonlinear, mass=1.0, imaginary=False, record_at=()):
@@ -239,16 +244,13 @@ def box_background(grid: Grid1D) -> np.ndarray:
     half_k2 = 0.5 * _real_k(grid) ** 2
     inverse = 1.0 / (half_k2 + 2.0)
 
-    def kinetic(f):
-        return np.fft.irfft(half_k2 * np.fft.rfft(f))
-
     def precondition(r):
         return np.fft.irfft(inverse * np.fft.rfft(r))
 
     tol = max(NEWTON_TOL, 6.0 * np.finfo(float).eps * half_k2[-1])
     psi = np.sqrt(np.maximum(0.0, 1.0 - pot / WALL_HEIGHT))
     for step in range(NEWTON_MAX_ITER + 1):
-        residual = kinetic(psi) + (psi * psi + pot - 1.0) * psi
+        residual = _kinetic(psi, grid) + (psi * psi + pot - 1.0) * psi
         err = float(np.max(np.abs(residual)))
         if err < tol:
             psi.setflags(write=False)
@@ -256,7 +258,7 @@ def box_background(grid: Grid1D) -> np.ndarray:
         if step == NEWTON_MAX_ITER:
             break
         diag = 3.0 * psi * psi + pot - 1.0
-        psi = psi - _pcg(lambda v: kinetic(v) + diag * v, residual, precondition,
+        psi = psi - _pcg(lambda v: _kinetic(v, grid) + diag * v, residual, precondition,
                          rtol=min(0.1, err))
     raise RuntimeError(
         f"box background did not converge: max residual {err:.3e} after "
@@ -302,12 +304,6 @@ class ImpurityStates:
     bound: tuple
 
 
-def _rayleigh(psi, grid, pot, mass_ratio):
-    dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(psi))
-    num = np.sum(np.abs(dpsi) ** 2 / (2.0 * mass_ratio) + pot * np.abs(psi) ** 2)
-    return float(num.real / np.sum(np.abs(psi) ** 2))
-
-
 def relax_impurity(
     soliton_field: LatticeField,
     params: ModelParams,
@@ -317,7 +313,7 @@ def relax_impurity(
     """Ground and first-excited impurity orbitals in a frozen soliton.
 
     The impurity feels the soliton density as a well of depth
-    nu(nu+1)/(2 m_r) (the matched sech^2 relation, which makes the analytic
+    `model.well_depth` (the matched sech^2 relation, which makes the analytic
     level ladder the reference), plus the box walls. Both orbitals relax in
     imaginary time as the even and odd parts of one real field: the kinetic
     factor is even, and so is the potential step once symmetrized (on a state
@@ -325,8 +321,8 @@ def relax_impurity(
     mix. Every 100 steps each part is rescaled to unit norm. Without that the
     even part outgrows the odd one by e^{(E1 - E0) t}, so the odd orbital is
     lost in the even one's rounding, and on long runs both underflow. A
-    nonnegative Rayleigh quotient relative to the plateau means the channel
-    supports no bound state and is flagged.
+    nonnegative Rayleigh quotient (kinetic term from `_kinetic`) relative to
+    the plateau means the channel supports no bound state and is flagged.
     """
     if not (0.0 < dt < math.inf and 0.0 < t_relax < math.inf):
         raise ValueError(f"dt and t_relax must be finite and positive, got {dt} and {t_relax}")
@@ -334,12 +330,10 @@ def relax_impurity(
     if n_steps < 1:
         raise ValueError(f"t_relax = {t_relax} rounds to zero steps of dt = {dt}")
     grid = soliton_field.grid
-    mr = params.mass_ratio
-    depth = params.nu * (params.nu + 1.0) / (2.0 * mr)
+    depth = well_depth(params)
     pot = depth * soliton_field.density() + grid.wall_potential()
 
-    n = grid.points
-    flip = (n - np.arange(n)) % n  # x -> -x on the periodic grid
+    flip = -np.arange(grid.points) % grid.points  # x -> -x on the periodic grid
     decay = np.exp(-dt * pot)
     decay = 0.5 * (decay + decay[flip])  # exactly even
 
@@ -354,11 +348,12 @@ def relax_impurity(
     psi = gauss + x * gauss
     for start in range(0, n_steps, 100):
         psi, _ = _strang(psi, grid, min(100, n_steps - start), dt, lambda p: p * decay,
-                         mass=mr, imaginary=True)
+                         mass=params.mass_ratio, imaginary=True)
         mirror = psi[flip]
         phi0, phi1 = unit(0.5 * (psi + mirror)), unit(0.5 * (psi - mirror))
         psi = phi0 + phi1
-    e0, e1 = (_rayleigh(phi, grid, pot, mr) - depth for phi in (phi0, phi1))
+    e0, e1 = (float(phi @ (_kinetic(phi, grid, params.mass_ratio) + pot * phi) / (phi @ phi))
+              - depth for phi in (phi0, phi1))
     return ImpurityStates(phi0=phi0, phi1=phi1, energies=(e0, e1), bound=(e0 < 0.0, e1 < 0.0))
 
 

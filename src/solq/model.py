@@ -48,9 +48,14 @@ class ModelParams:
             )
 
 
+def well_depth(params: ModelParams) -> float:
+    """Depth nu (nu + 1)/(2 m_r), in mu, of the sech^2 well `gpe.relax_impurity` solves."""
+    return params.nu * (params.nu + 1.0) / (2.0 * params.mass_ratio)
+
+
 def chi_over_g(params: ModelParams) -> float:
-    """Impurity coupling chi in units of g that produces params.nu: nu (nu + 1)/m_r."""
-    return params.nu * (params.nu + 1.0) / params.mass_ratio
+    """Coupling chi/g giving params.nu: 2 well_depth; the 2 is ROADMAP item 2's open decision."""
+    return 2.0 * well_depth(params)
 
 
 def qubit_gap(params: ModelParams) -> float:
@@ -64,7 +69,6 @@ def qubit_gap(params: ModelParams) -> float:
 def wannier_alpha(params: ModelParams) -> float:
     """The sech exponent alpha for the configured convention."""
     nu = params.nu
-    conv = params.wannier_convention
-    if conv is ExponentConvention.DEFAULT:
+    if params.wannier_convention is ExponentConvention.DEFAULT:
         return math.sqrt(nu * (nu + 1.0))
     return nu

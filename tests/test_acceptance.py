@@ -276,7 +276,7 @@ def test_07_impurity_levels_match_analytic_ladder():
     assert elapsed < 60.0
     assert devs[0] < 0.01
     # known deviation: relax_impurity solves a sech^2 well of depth
-    # nu(nu+1)/(2 m_r), a Poschl-Teller well with lambda = nu that binds only
+    # model.well_depth, a Poschl-Teller well with lambda = nu that binds only
     # levels n < nu, so at nu = 0.75 the n = 1 candidate relaxes to E = +0.0094
     # against the analytic -0.0200. For nu < 1 no sech^2 well has both
     # E0 = -nu^2/(2 m_r) and E1 = -(nu-1)^2/(2 m_r), yet pt_spectrum,

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad, simpson as scipy_simpson
 from scipy.special import loggamma
 
+from oracles import mode_amplitudes, phi0, phi1
 from solq import couplings
 from solq.bogoliubov import group_velocity, resonant_wavevector
 from solq.boundstates import wannier_pair
@@ -210,23 +211,16 @@ def test_pv_eta_grid_refinement(monkeypatch):
 def direct_correlation(k, d, alpha, n_y=5001, y_half=40.0):
     """Re int D_k(y) D_k*(y - d) dy by the trapezoid rule on a grid widened by |d|.
 
-    The bracket is written out here rather than taken from `bogoliubov`, so the
-    comparison also checks `mode_coefficients`.
+    D_k = tanh^2 sech^(2 alpha) (u_k + v_k) sqrt(4 pi) with the modes of
+    `oracles.mode_amplitudes`, so the comparison also checks `mode_coefficients`.
     """
     y = np.linspace(-y_half - abs(d), y_half + abs(d), n_y)
-    eps = math.sqrt(k * k * (k * k + 2.0))
 
     def density(x):
-        th = np.tanh(x)
-        sech = 1.0 / np.cosh(x)
-        common = k / 2.0 + 1j * th
-        bu = (k * k + 2.0 * eps) / eps * common + (k / eps) * sech ** 2
-        bv = (k * k - 2.0 * eps) / eps * common + (k / eps) * sech ** 2
-        return th * th * sech ** (2.0 * alpha) * (
-            bu * np.exp(1j * k * x) + bv * np.exp(-1j * k * x)
-        )
+        mode = mode_amplitudes(k, x)
+        return np.tanh(x) ** 2 / np.cosh(x) ** (2.0 * alpha) * (mode.u + mode.v)
 
-    return np.trapezoid((density(y) * np.conj(density(y - d))).real, y)
+    return 4.0 * math.pi * np.trapezoid((density(y) * np.conj(density(y - d))).real, y)
 
 
 def test_panel_matches_direct_trapezoid():
@@ -299,31 +293,24 @@ def test_interband_amplitude_parity():
 
 
 def quad_amplitude(l, m, k, params):
-    """g_lm(k) by adaptive quadrature of phi_l phi_m tanh (bu e^{iky} + bv e^{-iky}).
+    """g_lm(k) by adaptive quadrature of phi_l phi_m tanh (u_k + v_k).
 
-    The orbitals and the bracket are written out here, as in
-    `direct_correlation`, so the comparison also checks `mode_coefficients`.
+    The orbitals and the mode come from `oracles`, as in `direct_correlation`,
+    so the comparison also checks `mode_coefficients`.
     """
     pair = wannier_pair(params)
-    eps = math.sqrt(k * k * (k * k + 2.0))
+    orbital = (phi0, phi1)
 
     def integrand(y):
-        th = math.tanh(y)
-        sech = 1.0 / math.cosh(y)
-        phi0 = pair.a0 * sech ** pair.alpha
-        orbital = (phi0, pair.a1 * th * phi0)
-        common = complex(k / 2.0, th)
-        bu = (k * k + 2.0 * eps) / eps * common + (k / eps) * sech ** 2
-        bv = (k * k - 2.0 * eps) / eps * common + (k / eps) * sech ** 2
-        phase = complex(math.cos(k * y), math.sin(k * y))
-        return orbital[l] * orbital[m] * th * (bu * phase + bv * phase.conjugate())
+        mode = mode_amplitudes(k, y)
+        return complex(orbital[l](pair, y) * orbital[m](pair, y) * math.tanh(y) * (mode.u + mode.v))
 
     # quad's error estimate runs ~100x above its actual error here (the two
     # rules agree to 5e-14), so it is only checked at 1e-11
     val, err = quad(integrand, -40.0, 40.0, epsabs=1e-13, epsrel=0.0,
                     limit=400, complex_func=True)
     assert abs(err) < 1e-11 * abs(val)
-    return chi_over_g(params) / math.sqrt(4.0 * math.pi * params.n0_xi) * val
+    return chi_over_g(params) / math.sqrt(params.n0_xi) * val
 
 
 def test_amplitudes_match_adaptive_quadrature():

@@ -127,6 +127,22 @@ def test_density_matrix_validation():
         DensityMatrix4(np.eye(3, dtype=complex) / 3.0)
 
 
+def test_validated_states_are_immutable():
+    # a state holds a read-only copy: writing into the caller's array once
+    # changed the stored matrix to trace 5.75 under its stale concurrence 0
+    m = np.eye(4, dtype=complex) / 4.0
+    state = DensityMatrix4(matrix=m)
+    m[0, 0] = 5.0
+    assert np.trace(state.matrix) == 1.0 and state.concurrence == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        state.matrix[0, 0] = 5.0
+    # and so does every snapshot of a trajectory, a view into one stack
+    traj = evolve(basis_state("eg"), make_rates(0.3, 0.1), np.linspace(0.0, 1.0, 5))
+    for st in traj.states:
+        with pytest.raises(ValueError, match="read-only"):
+            st.matrix[0, 0] = 5.0
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("a stored concurrence was recomputed")
 

@@ -17,7 +17,7 @@ from solq.gpe import (
     relax_impurity,
     split_step_evolve,
 )
-from solq.model import ModelParams
+from solq.model import ModelParams, well_depth
 
 
 def test_grid_validation():
@@ -437,8 +437,7 @@ def test_fused_relaxations_match_plain_strang_loop():
         f = imprint_solitons(g, [0.0])
         st = relax_impurity(f, params, t_relax=t_relax, dt=dt)
         mr = params.mass_ratio
-        depth = params.nu * (params.nu + 1.0) / (2.0 * mr)
-        well = depth * f.density() + g.wall_potential()
+        well = well_depth(params) * f.density() + g.wall_potential()
         flip = (points - np.arange(points)) % points
         x = g.x
         gauss = np.exp(-(x / (2.0 * max(1.0, 1.0 / params.nu))) ** 2)
@@ -462,7 +461,7 @@ def test_impurity_ground_level_matches_eigensolver(impurity_60xi):
     f, st = impurity_60xi[2048]
     g = f.grid
     mr = params.mass_ratio
-    depth = params.nu * (params.nu + 1.0) / (2.0 * mr)
+    depth = well_depth(params)
     well = depth * f.density() + g.wall_potential()
     hop = 1.0 / (2.0 * mr * g.spacing ** 2)
     levels = eigh_tridiagonal(
@@ -474,3 +473,19 @@ def test_impurity_ground_level_matches_eigensolver(impurity_60xi):
     # differ: the relaxed one depends on t_relax)
     assert levels[1] > 0.0
     assert st.energies[1] > 0.0
+
+
+def test_impurity_energies_are_the_orbitals_rayleigh_quotients(impurity_60xi):
+    # oracle: <phi|H|phi>/<phi|phi> - depth with the kinetic term from a
+    # complex-FFT derivative, as in oracles.gpe_energy, on the 2048-point
+    # default solve and on the figS1 grid at another nu and mass ratio
+    default, other = impurity_60xi[2048], ModelParams(nu=0.7, mass_ratio=1.4)
+    soliton = imprint_solitons(Grid1D(points=512, length=60.0), [0.0])
+    for f, params, st in ((default[0], ModelParams(), default[1]),
+                          (soliton, other, relax_impurity(soliton, other))):
+        g = f.grid
+        well = well_depth(params) * f.density() + g.wall_potential()
+        for phi, energy in zip((st.phi0, st.phi1), st.energies, strict=True):
+            dphi = np.fft.ifft(1j * g.k * np.fft.fft(phi))
+            num = np.sum(np.abs(dphi) ** 2 / (2.0 * params.mass_ratio) + well * phi ** 2)
+            assert abs(energy - (num / np.sum(phi ** 2) - well_depth(params))) < 1e-12
