@@ -187,7 +187,7 @@ def build_liouvillian(rates: RateSet, drive: DriveParams = DriveParams()) -> np.
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of an evolution, times in units of 1/gamma."""
+    """Snapshots of an evolution, times (read-only) in units of 1/gamma."""
 
     times: np.ndarray
     states: tuple
@@ -218,7 +218,8 @@ def evolve(
     step h; adding the increment keeps the trace drift at roundoff. Snapshots
     are hermitized, the trace is left untouched; all are validated at once.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.array(t_grid, dtype=float)  # a copy: Trajectory.times is read-only
+    t_grid.flags.writeable = False
     if t_grid.ndim != 1 or len(t_grid) < 2 or not np.isfinite(t_grid).all():
         raise ValueError("t_grid must be a 1-d array of at least two finite times")
     dt = np.diff(t_grid)

@@ -293,15 +293,27 @@ def imprint_solitons(grid: Grid1D, positions) -> LatticeField:
     return LatticeField(grid=grid, psi=psi.astype(complex))
 
 
+def _freeze(result, *names):
+    """Replace each named array field of a frozen result by a read-only float copy."""
+    for name in names:
+        a = np.array(getattr(result, name), dtype=float)
+        a.flags.writeable = False
+        object.__setattr__(result, name, a)
+
+
 @dataclass(frozen=True)
 class ImpurityStates:
-    """Relaxed real impurity orbitals on the soliton's grid, with Rayleigh
-    energies (relative to the potential plateau) and per-orbital bound flags."""
+    """Relaxed real impurity orbitals on the soliton's grid (read-only copies),
+    with Rayleigh energies (relative to the potential plateau) and per-orbital
+    bound flags."""
 
     phi0: np.ndarray
     phi1: np.ndarray
     energies: tuple
     bound: tuple
+
+    def __post_init__(self):
+        _freeze(self, "phi0", "phi1")
 
 
 def relax_impurity(
@@ -359,12 +371,16 @@ def relax_impurity(
 
 @dataclass(frozen=True)
 class SolitonTracks:
-    """Centroid tracks x_j(t) of a soliton chain; lost_at is the time the
-    tracker first failed to find the full count (None if it never did)."""
+    """Centroid tracks x_j(t) of a soliton chain (read-only copies); lost_at is
+    the time the tracker first failed to find the full count (None if it
+    never did)."""
 
     times: np.ndarray
     positions: np.ndarray  # shape (nt, count)
     lost_at: float | None
+
+    def __post_init__(self):
+        _freeze(self, "times", "positions")
 
     @property
     def displacements(self) -> np.ndarray:
@@ -432,8 +448,4 @@ def multi_soliton_experiment(
             break
         times.append(t)
         rows.append(found)
-    return SolitonTracks(
-        times=np.asarray(times),
-        positions=np.asarray(rows),
-        lost_at=lost_at,
-    )
+    return SolitonTracks(times=times, positions=rows, lost_at=lost_at)

@@ -343,6 +343,18 @@ def test_sweep_threads_give_identical_bytes(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
+def test_cli_process_exits_after_a_parallel_sweep(tmp_path):
+    # the sweep's persistent worker must not hold the interpreter open, and
+    # the process writes the bytes an in-process run writes
+    env = dict(os.environ, PYTHONPATH=str(Path(solq.__file__).parents[1]))
+    args = ["steady", "--scenario", "fig5a", "--points", "6"]
+    subprocess.run([sys.executable, "-m", "solq.cli", *args, "--out", str(tmp_path / "proc")],
+                   env=env, capture_output=True, check=True, timeout=10)
+    assert main([*args, "--out", str(tmp_path / "main")]) == 0
+    for name in ("fig5a.csv", "fig5a.meta"):
+        assert (tmp_path / "proc" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+
 def test_steady_drive_sweep(tmp_path):
     assert main(["steady", "--points", "5", "--out", str(tmp_path)]) == 0
     header, rows = read_csv(tmp_path / "fig5b.csv")

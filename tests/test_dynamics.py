@@ -143,6 +143,17 @@ def test_validated_states_are_immutable():
             st.matrix[0, 0] = 5.0
 
 
+def test_trajectory_times_are_a_read_only_copy():
+    # a float t_grid used to be stored as it was: editing it after the call
+    # moved traj.times
+    t_grid = np.linspace(0.0, 1.0, 5)
+    traj = evolve(basis_state("eg"), make_rates(0.3, 0.1), t_grid)
+    t_grid[1] = 0.9
+    assert traj.times[1] == 0.25
+    with pytest.raises(ValueError, match="read-only"):
+        traj.times[1] = 0.9
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("a stored concurrence was recomputed")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -127,6 +128,23 @@ def test_chain_tracks_converge_in_the_grid():
     fine = multi_soliton_experiment(4, 2.5, 40.0, 5.0, points=1024)
     assert coarse.lost_at is None and fine.lost_at is None
     assert np.max(np.abs(coarse.positions - fine.positions)) < 1e-3
+
+
+@pytest.mark.parametrize("kind, name", [
+    (gpe.ImpurityStates, "phi0"), (gpe.ImpurityStates, "phi1"),
+    (gpe.SolitonTracks, "times"), (gpe.SolitonTracks, "positions"),
+])
+def test_result_arrays_are_read_only_copies(kind, name):
+    given = {
+        "phi0": np.ones(4), "phi1": np.ones(4), "energies": (-1.0, -0.5), "bound": (True, True),
+        "times": np.arange(3.0), "positions": np.ones((3, 2)), "lost_at": None,
+    }
+    result = kind(**{f.name: given[f.name] for f in dataclasses.fields(kind)})
+    given[name][0] = 7.0
+    stored = getattr(result, name)
+    assert np.all(stored != 7.0)
+    with pytest.raises(ValueError, match="read-only"):
+        stored[0] = 7.0
 
 
 def test_single_soliton_stays_put():
