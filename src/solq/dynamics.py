@@ -12,10 +12,17 @@ one resonant drive of Rabi frequency Omega on both qubits. Everything here is
 in units of the single-site rate gamma: times in 1/gamma, Omega in gamma, and
 the collective parameters as the ratios Gamma/gamma and eta/gamma of a RateSet.
 
-The generator is a constant 16x16 matrix L on row-major vec(rho), built from
-vec(A rho B) = (A kron B^T) vec(rho). The equation is linear, so `evolve` is
-exact: one matrix exponential exp(L h) per distinct time step h, then one
-mat-vec per snapshot. No Runge-Kutta integrator, no tolerances to tune.
+The generator is a constant 16x16 matrix L on row-major vec(rho). It is
+linear in the three parameters, so the module builds its four parts once, at
+import, from vec(A rho B) = (A kron B^T) vec(rho): L_LOCAL (the diagonal of
+G, each qubit's own decay), L_COLL (the off-diagonal of G, per unit
+Gamma/gamma), L_EX (-i[., .] with the exchange, per unit eta/gamma) and L_SX
+(-i[., .] with sum_i (sp_i + sm_i), per unit Rabi frequency). They are
+read-only, and `build_liouvillian` returns the new array
+L = L_LOCAL + (Gamma/gamma) L_COLL + (eta/gamma) L_EX - (Omega/2) L_SX.
+The equation is linear, so `evolve` is exact: one matrix exponential
+exp(L h) per distinct time step h, then one mat-vec per snapshot. No
+Runge-Kutta integrator, no tolerances to tune.
 
 Every DensityMatrix4 carries its Wootters concurrence (PRL 80, 2245 (1998)),
 computed in the batch that validates it: one `eigh` of the hermitized stack
@@ -53,9 +60,10 @@ _U_DICKE[1:3, 1:3] = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 # each label's state vector in the product basis
 _LABEL_VECTORS = dict(zip(PRODUCT_LABELS, np.eye(4))) | dict(zip(DICKE_LABELS, _U_DICKE))
 
-# sy kron sy (real)
-_SY = np.array([[0.0, -1j], [1j, 0.0]])
-_SY_SY = np.kron(_SY, _SY).real
+# sy kron sy is real and antidiagonal, [-1, 1, 1, -1] from top right to
+# bottom left: on the left of a matrix it reverses the rows and scales them
+# by these signs
+_SY_SY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 
 
 def _validate_stack(m: np.ndarray) -> np.ndarray:
@@ -65,15 +73,17 @@ def _validate_stack(m: np.ndarray) -> np.ndarray:
     caught before any decomposition. With rho = V diag(w) V^H,
     sqrt(rho) Y sqrt(rho)^* = V D (V^H Y V^*) D V^T for D = diag(sqrt(w)) and
     Y = sy kron sy, so its singular values are those of D (V^H Y V^*) D: one
-    batched `svd` of 4x4 matrices.
+    batched `svd` of 4x4 matrices. Y is antidiagonal, so Y V^* is V^* with
+    its rows reversed and signed, no matrix product.
     """
     nonfinite = np.argwhere(~np.isfinite(m))
     if nonfinite.size:
         i, r, c = nonfinite[0]
         raise ValueError(f"matrix entry ({r}, {c}) is {m[i, r, c]}, not finite")
-    herm = np.max(np.abs(m - m.conj().swapaxes(1, 2)), axis=(1, 2))
+    mh = m.conj().swapaxes(1, 2)
+    herm = np.max(np.abs(m - mh), axis=(1, 2))
     tr = np.trace(m, axis1=1, axis2=2).real
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().swapaxes(1, 2)))
+    w, v = np.linalg.eigh(0.5 * (m + mh))
     low = w[:, 0]
     bad = np.flatnonzero((herm > HERM_TOL) | (np.abs(tr - 1.0) > TRACE_TOL)
                          | (low < EIG_FLOOR))
@@ -85,7 +95,8 @@ def _validate_stack(m: np.ndarray) -> np.ndarray:
             raise ValueError(f"trace is {tr[i]!r}, not 1")
         raise ValueError(f"negative eigenvalue {low[i]:.2e}")
     root = np.sqrt(np.maximum(w, 0.0))
-    flip = v.conj().swapaxes(1, 2) @ (_SY_SY @ v.conj())
+    vc = v.conj()
+    flip = vc.swapaxes(1, 2) @ (_SY_SY_SIGNS * vc[:, ::-1])
     s = np.linalg.svd(root[:, :, None] * flip * root[:, None, :], compute_uv=False)
     return np.maximum(s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3], 0.0)
 
@@ -111,11 +122,12 @@ class DensityMatrix4:
     @classmethod
     def _stack(cls, mats: np.ndarray) -> tuple:
         """One state per matrix of an (n, 4, 4) stack (read-only), validated as a batch."""
+        new, put = object.__new__, object.__setattr__
         states = []
         for m, c in zip(mats, _validate_stack(mats).tolist()):
-            state = object.__new__(cls)
-            object.__setattr__(state, "matrix", m)
-            object.__setattr__(state, "concurrence", c)
+            state = new(cls)
+            put(state, "matrix", m)
+            put(state, "concurrence", c)
             states.append(state)
         return tuple(states)
 
@@ -151,8 +163,33 @@ class DriveParams:
 _SM1 = np.zeros((4, 4)); _SM1[2, 0] = 1.0; _SM1[3, 1] = 1.0
 _SM2 = np.zeros((4, 4)); _SM2[1, 0] = 1.0; _SM2[3, 2] = 1.0
 _SP1, _SP2 = _SM1.T.copy(), _SM2.T.copy()
-_EXCHANGE = _SP1 @ _SM2 + _SP2 @ _SM1
-_SX_SUM = _SP1 + _SM1 + _SP2 + _SM2  # sum_i (sp_i + sm_i)
+
+
+def _dissipator(*jumps) -> np.ndarray:
+    """Read-only generator of sum over the (sm, sp) pairs of
+    sm rho sp - 1/2 {sp sm, rho}."""
+    eye = np.eye(4)
+    lop = 0.0
+    for sm, sp in jumps:
+        anti = sp @ sm
+        lop = lop + (np.kron(sm, sp.T) - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T)))
+    lop.flags.writeable = False
+    return lop
+
+
+def _commutator(h: np.ndarray) -> np.ndarray:
+    """Read-only generator of -i[h, rho]."""
+    eye = np.eye(4)
+    lop = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    lop.flags.writeable = False
+    return lop
+
+
+# the four constant generators; see build_liouvillian
+L_LOCAL = _dissipator((_SM1, _SP1), (_SM2, _SP2))  # each qubit's own decay, rate gamma
+L_COLL = _dissipator((_SM2, _SP1), (_SM1, _SP2))   # collective decay, the off-diagonal Gamma
+L_EX = _commutator(_SP1 @ _SM2 + _SP2 @ _SM1)      # exchange, strength eta
+L_SX = _commutator(_SP1 + _SM1 + _SP2 + _SM2)      # drive, sum_i (sp_i + sm_i)
 
 
 def _check_rates(rates: RateSet):
@@ -163,26 +200,12 @@ def _check_rates(rates: RateSet):
         )
 
 
-def _hamiltonian(rates: RateSet, drive: DriveParams) -> np.ndarray:
-    return rates.eta_over_gamma * _EXCHANGE - 0.5 * drive.omega_rabi * _SX_SUM
-
-
 def build_liouvillian(rates: RateSet, drive: DriveParams = DriveParams()) -> np.ndarray:
-    """Dense 16x16 generator in the product basis: A rho B enters as A kron B^T."""
+    """Dense 16x16 generator in the product basis, a new array per call:
+    L_LOCAL + (Gamma/gamma) L_COLL + (eta/gamma) L_EX - (Omega/2) L_SX."""
     _check_rates(rates)
-    big = rates.Gamma_over_gamma
-    gmat = np.array([[1.0, big], [big, 1.0]])
-    sm, sp = (_SM1, _SM2), (_SP1, _SP2)
-    eye = np.eye(4)
-    h = _hamiltonian(rates, drive)
-    lop = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for i in range(2):
-        for j in range(2):
-            anti = sp[i] @ sm[j]
-            lop = lop + gmat[i, j] * (
-                np.kron(sm[j], sp[i].T) - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
-            )
-    return lop
+    return (L_LOCAL + rates.Gamma_over_gamma * L_COLL + rates.eta_over_gamma * L_EX
+            - 0.5 * drive.omega_rabi * L_SX)
 
 
 @dataclass(frozen=True)
@@ -227,12 +250,13 @@ def evolve(
     if bad.size:
         raise ValueError(f"t_grid is not strictly increasing at index {bad[0] + 1}")
     steps, which = np.unique(dt, return_inverse=True)
-    incs = _expm1(build_liouvillian(rates, drive) * steps[:, None, None])
-    vec = np.empty((len(t_grid), 16), dtype=complex)
-    vec[0] = state0.matrix.ravel()
-    for n, k in enumerate(which):
-        vec[n + 1] = vec[n] + incs[k] @ vec[n]
-    rho = vec.reshape(-1, 4, 4)
+    incs = list(_expm1(build_liouvillian(rates, drive) * steps[:, None, None]))
+    v = state0.matrix.ravel()
+    vecs = [v]
+    for inc in [incs[k] for k in which.tolist()]:
+        v = v + inc @ v
+        vecs.append(v)
+    rho = np.array(vecs).reshape(-1, 4, 4)
     rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
     rho.flags.writeable = False
     return Trajectory(times=t_grid, states=DensityMatrix4._stack(rho))

@@ -42,7 +42,7 @@ to the overlap of its tails with the walls.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -109,6 +109,14 @@ class Grid1D:
     def k(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.spacing)
 
+    @cached_property
+    def real_k2(self) -> np.ndarray:
+        """Squared wavenumbers of the real-FFT layout; computed once per grid,
+        read-only because every caller shares it."""
+        k2 = (2.0 * np.pi * np.fft.rfftfreq(self.points, d=self.spacing)) ** 2
+        k2.flags.writeable = False
+        return k2
+
     def wall_potential(self) -> np.ndarray:
         """Tanh walls of height WALL_HEIGHT and width WALL_WIDTH at |x| = wall_center()."""
         xw = self.wall_center()
@@ -128,14 +136,9 @@ class LatticeField:
         return self.psi.real ** 2 + self.psi.imag ** 2
 
 
-def _real_k(grid):
-    """Wavenumbers of the real FFT of a field on the grid."""
-    return 2.0 * np.pi * np.fft.rfftfreq(grid.points, d=grid.spacing)
-
-
 def _kinetic(f, grid, mass=1.0):
     """-1/(2 mass) f'' of a real field on the grid, spectrally (real FFTs)."""
-    return np.fft.irfft(_real_k(grid) ** 2 / (2.0 * mass) * np.fft.rfft(f))
+    return np.fft.irfft(grid.real_k2 / (2.0 * mass) * np.fft.rfft(f))
 
 
 def _strang(psi, grid, n_steps, dt, nonlinear, mass=1.0, imaginary=False, record_at=()):
@@ -147,7 +150,7 @@ def _strang(psi, grid, n_steps, dt, nonlinear, mass=1.0, imaginary=False, record
     """
     if imaginary:
         fft, ifft = np.fft.rfft, np.fft.irfft
-        half = np.exp(-(_real_k(grid) ** 2 / (2.0 * mass)) * (0.5 * dt))
+        half = np.exp(-(grid.real_k2 / (2.0 * mass)) * (0.5 * dt))
     else:
         fft, ifft = np.fft.fft, np.fft.ifft
         half = np.exp(-1j * (grid.k ** 2 / (2.0 * mass)) * (0.5 * dt))
@@ -241,7 +244,7 @@ def box_background(grid: Grid1D) -> np.ndarray:
     gray solitons from the wall junctions.
     """
     pot = grid.wall_potential()
-    half_k2 = 0.5 * _real_k(grid) ** 2
+    half_k2 = 0.5 * grid.real_k2
     inverse = 1.0 / (half_k2 + 2.0)
 
     def precondition(r):

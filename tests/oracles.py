@@ -17,7 +17,8 @@ import numpy as np
 from solq.boundstates import WannierPair
 from solq.couplings import RateSet
 from solq.dynamics import (
-    DICKE_LABELS, PRODUCT_LABELS, DensityMatrix4, DriveParams, _check_rates, build_liouvillian,
+    DICKE_LABELS, PRODUCT_LABELS, DensityMatrix4, DriveParams, _check_rates, _expm1,
+    build_liouvillian,
 )
 from solq.gpe import LatticeField
 
@@ -29,6 +30,14 @@ U_DICKE[1:3, 1:3] = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 LABEL_VECTORS = dict(zip(PRODUCT_LABELS, np.eye(4))) | dict(zip(DICKE_LABELS, U_DICKE))
 
 X_SHAPE_TOL = 1e-10
+
+# site lowering operators in the product basis ee, eg, ge, gg
+SM1 = np.zeros((4, 4)); SM1[2, 0] = 1.0; SM1[3, 1] = 1.0
+SM2 = np.zeros((4, 4)); SM2[1, 0] = 1.0; SM2[3, 2] = 1.0
+SP1, SP2 = SM1.T, SM2.T
+
+SY = np.array([[0.0, -1j], [1j, 0.0]])
+SY_SY = np.kron(SY, SY).real  # sy kron sy is real
 
 
 def element(state: DensityMatrix4, row_label: str, col_label: str) -> complex:
@@ -57,6 +66,56 @@ def liouvillian_apply(rho: np.ndarray, rates: RateSet,
                       drive: DriveParams = DriveParams()) -> np.ndarray:
     """drho/dt in units of gamma (the diagonal decay of |ee><ee| is -2)."""
     return (build_liouvillian(rates, drive) @ np.ravel(rho)).reshape(4, 4)
+
+
+def kron_liouvillian(rates: RateSet, drive: DriveParams = DriveParams()) -> np.ndarray:
+    """The 16x16 generator summed term by term from its Kronecker products,
+    A rho B entering as A kron B^T: the Hamiltonian at these rates and drive,
+    then G_ij times the dissipator of each (i, j) in row-major order."""
+    _check_rates(rates)
+    big = rates.Gamma_over_gamma
+    gmat = np.array([[1.0, big], [big, 1.0]])
+    sm, sp = (SM1, SM2), (SP1, SP2)
+    eye = np.eye(4)
+    h = (rates.eta_over_gamma * (SP1 @ SM2 + SP2 @ SM1)
+         - 0.5 * drive.omega_rabi * (SP1 + SM1 + SP2 + SM2))
+    lop = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for i in range(2):
+        for j in range(2):
+            anti = sp[i] @ sm[j]
+            lop = lop + gmat[i, j] * (
+                np.kron(sm[j], sp[i].T) - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
+            )
+    return lop
+
+
+def wootters_batch(m: np.ndarray) -> np.ndarray:
+    """Concurrences of an (n, 4, 4) stack of density matrices: singular values
+    of D (V^H Y V^*) D for rho = V diag(w) V^H, D = diag(sqrt(w)) and
+    Y = sy kron sy applied as a matrix product."""
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().swapaxes(1, 2)))
+    root = np.sqrt(np.maximum(w, 0.0))
+    flip = v.conj().swapaxes(1, 2) @ (SY_SY @ v.conj())
+    s = np.linalg.svd(root[:, :, None] * flip * root[:, None, :], compute_uv=False)
+    return np.maximum(s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3], 0.0)
+
+
+def evolve_indexed(state0: DensityMatrix4, rates: RateSet, t_grid,
+                   drive: DriveParams = DriveParams()):
+    """The exact propagator stepped into a preallocated (n, 16) array: the
+    kron generator, one exp(L h) - 1 per distinct step h (all from one
+    `_expm1` call), and vec[n + 1] = vec[n] + incs[k] @ vec[n]. Returns the
+    hermitized (n, 4, 4) stack and its `wootters_batch` concurrences."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    steps, which = np.unique(np.diff(t_grid), return_inverse=True)
+    incs = _expm1(kron_liouvillian(rates, drive) * steps[:, None, None])
+    vec = np.empty((len(t_grid), 16), dtype=complex)
+    vec[0] = state0.matrix.ravel()
+    for n, k in enumerate(which):
+        vec[n + 1] = vec[n] + incs[k] @ vec[n]
+    rho = vec.reshape(-1, 4, 4)
+    rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
+    return rho, wootters_batch(rho)
 
 
 def _exprel(x: np.ndarray) -> np.ndarray:

@@ -4,11 +4,17 @@ from scipy.linalg import expm
 from scipy.special import exprel
 
 from oracles import (
+    SM1,
+    SM2,
+    SP1,
+    SP2,
     U_DICKE,
     _exprel,
     analytic_undriven,
     dicke_matrix,
     element,
+    evolve_indexed,
+    kron_liouvillian,
     liouvillian_apply,
     steady_state_closed_form,
 )
@@ -48,12 +54,6 @@ def random_decay_class_init(rng):
     mag = 0.9 * np.sqrt(ss * aa)
     phase = np.exp(2j * np.pi * rng.uniform())
     return {"rho_ee": ee, "rho_ss": ss, "rho_aa": aa, "rho_sa": mag * phase}
-
-
-# site lowering operators in the product basis ee, eg, ge, gg
-SM1 = np.zeros((4, 4)); SM1[2, 0] = 1.0; SM1[3, 1] = 1.0
-SM2 = np.zeros((4, 4)); SM2[1, 0] = 1.0; SM2[3, 2] = 1.0
-SP1, SP2 = SM1.T, SM2.T
 
 
 def sandwich_apply(rho, rates, drive):
@@ -256,6 +256,47 @@ def test_liouvillian_matches_sandwich_oracle():
         oracle = sandwich_generator(rates, drive)
         for col in range(16):
             assert np.max(np.abs(lop[:, col] - oracle[:, col])) < 1e-15
+
+
+def test_liouvillian_is_the_kron_sum_bit_for_bit():
+    # the four constant generators combine to exactly the term-by-term sum
+    rng = np.random.default_rng(41)
+    for n in range(500):
+        big = 0.0 if n % 11 == 0 else rng.uniform(-1.0, 1.0)
+        eta = 0.0 if n % 7 == 0 else rng.normal() * 10.0 ** rng.integers(-3, 2)
+        om = 0.0 if n % 5 == 0 else rng.uniform(-3.0, 3.0)
+        rates, drive = make_rates(big, eta), DriveParams(omega_rabi=om)
+        assert np.array_equal(build_liouvillian(rates, drive), kron_liouvillian(rates, drive))
+
+
+def test_generators_are_read_only_and_each_call_is_fresh():
+    for lop in (dynamics.L_LOCAL, dynamics.L_COLL, dynamics.L_EX, dynamics.L_SX):
+        assert lop.shape == (16, 16)
+        with pytest.raises(ValueError, match="read-only"):
+            lop[0, 0] = 1.0
+    rates, drive = GENERATOR_CASES[1]
+    first = build_liouvillian(rates, drive)
+    first[...] = 7.0
+    assert np.array_equal(build_liouvillian(rates, drive), kron_liouvillian(rates, drive))
+
+
+def test_evolve_matches_indexed_oracle_bit_for_bit():
+    rng = np.random.default_rng(53)
+    irregular = np.concatenate(([0.3], 0.3 + np.sort(rng.uniform(0.0, 12.0, 40)), [40.0]))
+    cases = (
+        (basis_state("gg"), make_rates(-0.4, 0.3), np.linspace(0.0, 30.0, 301),
+         DriveParams(omega_rabi=0.7)),
+        (DensityMatrix4(0.6 * basis_state("eg").matrix + 0.4 * basis_state("gg").matrix),
+         make_rates(0.3, -0.2), np.linspace(0.0, 6.0, 301), DriveParams()),
+        (random_density(rng), make_rates(0.8, 0.1), irregular, DriveParams(omega_rabi=0.4)),
+    )
+    for state0, rates, times, drive in cases:
+        traj = evolve(state0, rates, times, drive=drive)
+        rho, conc = evolve_indexed(state0, rates, times, drive)
+        assert len(traj.states) == len(times)
+        for st, want, c in zip(traj.states, rho, conc.tolist()):
+            assert np.array_equal(st.matrix, want)
+            assert st.concurrence == c
 
 
 def test_liouvillian_matrix_matches_apply():

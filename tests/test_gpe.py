@@ -44,6 +44,26 @@ def test_wall_geometry():
     assert g.wall_center() == 17.5
 
 
+def test_real_fft_wavenumbers_are_computed_once_and_read_only(monkeypatch):
+    g = Grid1D(points=256, length=30.0)
+    calls = []
+    rfftfreq = np.fft.rfftfreq
+
+    def counting_rfftfreq(*args, **kwargs):
+        calls.append(args)
+        return rfftfreq(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftfreq", counting_rfftfreq)
+    k2 = g.real_k2
+    assert np.array_equal(k2, (2.0 * np.pi * rfftfreq(256, d=g.spacing)) ** 2)
+    with pytest.raises(ValueError, match="read-only"):
+        k2[1] = 0.0
+    # a cold background solve applies the kinetic operator at every CG step
+    # and reads the grid's one array
+    box_background.__wrapped__(g)
+    assert g.real_k2 is k2 and len(calls) == 1
+
+
 def test_background_phase_rotation():
     # the stationary box field at mu = 1 only turns its phase, as e^{-i t};
     # at the default step it is off by 2.6e-6 (Strang splitting error in the
