@@ -16,9 +16,11 @@ stops once the stationarity residual is at the rounding level of the
 spectral second derivative (max|F| < NEWTON_TOL on the preset grids).
 
 Every time-stepped run goes through one stepper, `_strang` (K/2 N K/2 per
-step). The trailing K/2 of a step and the leading K/2 of the next fuse into
-one kinetic factor, so a step costs one FFT pair; a record and the last step
-each add one inverse FFT. `split_step_evolve` runs real time at steps up to
+step), with the half-step kinetic factor its caller builds once per run; a
+real field steps with real FFTs, a complex one with complex FFTs. The
+trailing K/2 of a step and the leading K/2 of the next fuse into one kinetic
+factor, so a step costs one FFT pair; a record and the last step each add
+one inverse FFT. `split_step_evolve` runs real time at steps up to
 DT_CAP_FACTOR * dx^2 = dx^2 / pi. Split-step Fourier for the nonlinear
 Schroedinger equation is unstable only once dt * k_max^2 / 2 exceeds pi
 (Weideman & Herbst, SIAM J. Numer. Anal. 23 (1986) 485), which for the
@@ -29,10 +31,10 @@ its relative energy drift over t = 100 is 3.6e-8. Past the limit, at 0.65 to
 0.8 dx^2, that drift stays below 3e-7: the unstable modes grow from rounding,
 slowly within t = 100.
 
-Imaginary time runs on real fields with real FFTs, since the kinetic factor
-is real and even. Its one use is the two localized impurity orbitals inside a
-frozen soliton (one-way coupling), which relax together as the even and odd
-parts of one real field.
+Imaginary time keeps a real field real, since its kinetic factor is real
+and even. Its one use is the two localized impurity orbitals inside a frozen
+soliton (one-way coupling), which relax together as the even and odd parts
+of one real field.
 
 A soliton chain is imprinted by construction, as the product of tanh cores on
 the box background, with no relaxation; a single core is then stationary up
@@ -141,19 +143,14 @@ def _kinetic(f, grid, mass=1.0):
     return np.fft.irfft(grid.real_k2 / (2.0 * mass) * np.fft.rfft(f))
 
 
-def _strang(psi, grid, n_steps, dt, nonlinear, mass=1.0, imaginary=False, record_at=()):
-    """n_steps Strang steps K/2 N K/2 of -1/(2 mass) d2/dx2 and the pointwise
-    nonlinear(psi); returns (psi, records), with (t, psi) at the steps in
-    record_at. Imaginary time (the impurity relaxation) takes and keeps a
-    real psi (real FFTs), real time a complex one. A non-finite value
-    (checked every 100 steps and at the last) aborts.
+def _strang(psi, half, n_steps, dt, nonlinear, record_at=()):
+    """n_steps Strang steps K/2 N K/2, K/2 the caller's half-step kinetic
+    factor `half` and N the pointwise nonlinear(psi); returns (psi, records),
+    with (t, psi) at the steps in record_at. A real psi steps with real FFTs
+    (`half` in their layout), a complex one with complex FFTs. A non-finite
+    value (checked every 100 steps and at the last) aborts.
     """
-    if imaginary:
-        fft, ifft = np.fft.rfft, np.fft.irfft
-        half = np.exp(-(grid.real_k2 / (2.0 * mass)) * (0.5 * dt))
-    else:
-        fft, ifft = np.fft.fft, np.fft.ifft
-        half = np.exp(-1j * (grid.k ** 2 / (2.0 * mass)) * (0.5 * dt))
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if np.isrealobj(psi) else (np.fft.fft, np.fft.ifft)
     full = half * half
     records = []
     phi = half * fft(psi)  # the state after the leading K/2
@@ -201,7 +198,8 @@ def split_step_evolve(
     pot = grid.wall_potential()
     psi = np.ascontiguousarray(field.psi, dtype=complex)
     record_at = {int(round((i + 1) * n_steps / n_records)) for i in range(n_records)}
-    psi, records = _strang(psi, grid, n_steps, dt, lambda p: _kernels.phase_step(p, pot, dt),
+    half = np.exp(-1j * (grid.k ** 2 / 2.0) * (0.5 * dt))
+    psi, records = _strang(psi, half, n_steps, dt, lambda p: _kernels.phase_step(p, pot, dt),
                            record_at=record_at)
     return LatticeField(grid=grid, psi=psi), records
 
@@ -351,6 +349,7 @@ def relax_impurity(
     flip = -np.arange(grid.points) % grid.points  # x -> -x on the periodic grid
     decay = np.exp(-dt * pot)
     decay = 0.5 * (decay + decay[flip])  # exactly even
+    half = np.exp(-(grid.real_k2 / (2.0 * params.mass_ratio)) * (0.5 * dt))
 
     def unit(psi):
         nrm = math.sqrt((psi @ psi) * grid.spacing)
@@ -362,8 +361,7 @@ def relax_impurity(
     gauss = np.exp(-(x / (2.0 * max(1.0, 1.0 / max(params.nu, 0.25)))) ** 2)
     psi = gauss + x * gauss
     for start in range(0, n_steps, 100):
-        psi, _ = _strang(psi, grid, min(100, n_steps - start), dt, lambda p: p * decay,
-                         mass=params.mass_ratio, imaginary=True)
+        psi, _ = _strang(psi, half, min(100, n_steps - start), dt, lambda p: p * decay)
         mirror = psi[flip]
         phi0, phi1 = unit(0.5 * (psi + mirror)), unit(0.5 * (psi - mirror))
         psi = phi0 + phi1

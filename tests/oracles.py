@@ -1,6 +1,6 @@
 """Closed forms of the two-qubit model, kept as test oracles, and the
 observables that only tests read (matrix elements, orbital profiles, field
-norm and energy, Bogoliubov mode profiles).
+norm and energy, the dense kinetic matrix, Bogoliubov mode profiles).
 
 Every two-qubit function here works on product-basis arrays (order ee, eg,
 ge, gg), the basis of `solq.dynamics`. States that the closed forms describe
@@ -20,7 +20,7 @@ from solq.dynamics import (
     DICKE_LABELS, PRODUCT_LABELS, DensityMatrix4, DriveParams, _check_rates, _expm1,
     build_liouvillian,
 )
-from solq.gpe import LatticeField
+from solq.gpe import Grid1D, LatticeField
 
 # product order ee, eg, ge, gg to Dicke order e, s, a, g; its own inverse
 U_DICKE = np.eye(4)
@@ -263,6 +263,19 @@ def phi1(pair: WannierPair, x):
 def norm_sq(field: LatticeField) -> float:
     """int |psi|^2 on the field's grid."""
     return float(np.sum(field.density()) * field.grid.spacing)
+
+
+def kinetic_matrix(grid: Grid1D, mass: float = 1.0) -> np.ndarray:
+    """Dense -1/(2 mass) d2/dx2 of the periodic Fourier grid in closed form
+    (the Fourier-grid Hamiltonian of Marston & Balint-Kurti, J. Chem. Phys.
+    91 (1989) 3571, for an even number N of points, Nyquist term included):
+    T_jj = (pi/L)^2 (N^2 + 2)/(6 mass) and, for j != m,
+    T_jm = (pi/L)^2 (-1)^(j - m) / (mass sin^2(pi (j - m)/N))."""
+    n = grid.points
+    d = np.arange(n)[:, None] - np.arange(n)[None, :]
+    with np.errstate(divide="ignore"):
+        t = np.where(d == 0, (n * n + 2) / 6.0, (-1.0) ** d / np.sin(np.pi * d / n) ** 2)
+    return (np.pi / grid.length) ** 2 / mass * t
 
 
 def gpe_energy(field: LatticeField) -> float:

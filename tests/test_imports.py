@@ -72,6 +72,70 @@ def test_every_private_name_is_read():
     assert unread_private_names([path.read_text() for path in PACKAGE]) == []
 
 
+# entry points, read from outside the package by design
+ENTRY_POINTS = {"cli.main"}
+# read only by perfbench; they leave src/solq with the next benchmark change
+HELD_FOR_PERFBENCH = {
+    "_kernels.HAVE_NUMBA", "_kernels.decay_step", "couplings.correlation_panel",
+    "dynamics.steady_state", "gpe.SolitonTracks.displacements",
+}
+
+
+def unread_public_names(modules: dict[str, str]) -> list[str]:
+    """Public module-level names, and public methods and properties of
+    module-level classes, that no code in the given modules (name -> source)
+    reads, as module.name or module.Class.name.
+
+    A module-level name counts as read when it is loaded by name, as an
+    attribute, or imported from a module; a method only as an attribute.
+    A function's or class's mentions of its own name are not reads.
+    """
+    defined, names_read, attrs_read = [], set(), set()
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        for stmt in tree.body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = stmt.name
+                defined.append((f"{module}.{own}", own, False))
+                if isinstance(stmt, ast.ClassDef):
+                    defined += [(f"{module}.{own}.{item.name}", item.name, True)
+                                for item in stmt.body
+                                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                defined += [(f"{module}.{node.id}", node.id, False) for node in ast.walk(stmt)
+                            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    attrs_read.add(node.attr)
+                elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                      and node.id != own):
+                    names_read.add(node.id)
+                elif isinstance(node, ast.ImportFrom):
+                    names_read.update(alias.name for alias in node.names)
+    return [qualified for qualified, name, method in defined
+            if not name.startswith("_") and name not in attrs_read
+            and (method or name not in names_read)]
+
+
+def test_guard_sees_an_unread_public_name():
+    source = ("def f(n):\n    return f(n - 1)\n\n\ndef g():\n    return C().m\n\n\n"
+              "class C:\n    def m(self):\n        return self.n()\n\n"
+              "    def n(self):\n        return m\n\n"
+              "    @property\n    def p(self):\n        return 1\n\n\nX, Y = 1, 2\n")
+    assert unread_public_names({"a": source}) == ["a.f", "a.g", "a.C.p", "a.X", "a.Y"]
+    other = "from a import f, X\n\n\ndef h(a):\n    return f, a.g, a.p, Y\n"
+    assert unread_public_names({"a": source, "b": other}) == ["b.h"]
+
+
+def test_every_public_name_is_read_in_the_package():
+    # a public name that only tests or the benchmark read is code the
+    # program does not use; it moves to tests/ or goes
+    modules = {path.stem: path.read_text() for path in PACKAGE}
+    unread = set(unread_public_names(modules)) - ENTRY_POINTS
+    assert unread == HELD_FOR_PERFBENCH
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
