@@ -19,10 +19,11 @@ bu/bv the Bogoliubov bracket envelopes. Both ratios are even in d, equal 1 and
 guarantees |Gamma/gamma| <= 1.
 
 C12 is the autocorrelation of D_k, so by Wiener-Khinchin C12(k; d) = P_k @ cos(q d)
-with P_k = |FFT D_k|^2. The PV integral is linear in C12, so it applies to
-every q column of P over the PV k-grid at once: `rate_set` builds, once per
-parameter set and grid, the resonant row P_k0 and the PV row over q, and then
-costs two dot products with cos(q d) per separation.
+with P_k = |FFT D_k|^2. The PV integral is one Gauss-Legendre rule with the
+pole subtracted (`principal_value_rule`, 3 N_GAUSS nodes). It is linear in
+C12, so it applies to every q column of P at its nodes at once: `rate_set`
+builds, once per parameter set and grid, the resonant row P_k0 and the PV row
+over q, and then costs two dot products with cos(q d) per separation.
 """
 
 import cmath
@@ -43,7 +44,8 @@ N_Y = 501              # samples of D_k across [-Y_HALF, Y_HALF]; D_k is analyti
                        # converge exponentially: C12 matches n_y = 20001 to
                        # 1.6e-12 relative at (k0, d = 2.5), and the rates match
                        # the pins taken at 5001 points to 6e-13
-N_OMEGA = 1601         # budget for the principal-value frequency grid
+N_GAUSS = 32           # Gauss-Legendre nodes per principal-value panel; 64 moves
+                       # the rates by at most 3.1e-13 (tests/test_convergence.py)
 OMEGA_MAX_FACTOR = 50  # reservoir cutoff in units of the qubit gap
 _FFT_CHUNK = 1 << 16   # complex samples per FFT batch (bounds the temporaries)
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
@@ -88,65 +90,31 @@ def correlation_panel(karr, d, alpha, n_y=N_Y):
     return power @ np.cos(q * abs(d))
 
 
-def principal_value_grid(w0, wmax, n_omega=N_OMEGA):
-    """Paneled frequency grid: dense straddle of the resonance, log-spaced tail.
+def principal_value_rule(w0, wmax, n=N_GAUSS):
+    """Nodes, weight row and f0 coefficient of PV int_0^wmax f(w)/(w - w0) dw.
 
-    The far tail is geometric in (w - w0) because the subtracted integrand
-    decays like 1/(w - w0) there; uniform spacing would need ~100x the points
-    for the same trapezoid error.
+    Three n-point Gauss-Legendre panels: [0, w0/2]; [w0/2, 3 w0/2], symmetric
+    about the pole, so an even n puts no node on it; and the tail in
+    u = ln(w - w0) up to wmax, where dw/(w - w0) = du. The pole is subtracted:
+    the regular (f - f0)/(w - w0) takes the panels, and f0 the analytic
+    PV int_0^wmax dw/(w - w0) = ln((wmax - w0)/w0).
     """
-    wa = np.linspace(1e-8, 0.5 * w0, n_omega // 4, endpoint=False)
-    wb = np.linspace(0.5 * w0, 1.5 * w0, n_omega // 2, endpoint=False)
-    wc = w0 + np.geomspace(0.5 * w0, wmax - w0, n_omega // 4)
-    return np.concatenate([wa, wb, wc])
+    x, g = np.polynomial.legendre.leggauss(n)
+    ua, ub = math.log(0.5 * w0), math.log(wmax - w0)
+    nodes = np.concatenate([0.25 * w0 * (x + 1.0), w0 * (1.0 + 0.5 * x),
+                            w0 + np.exp(ua + 0.5 * (ub - ua) * (x + 1.0))])
+    # each panel's weights over w - w0 at its nodes
+    row = np.concatenate([g / (x - 3.0), g / x, 0.5 * (ub - ua) * g])
+    return nodes, row, math.log((wmax - w0) / w0) - row.sum()
 
 
-def simpson_weights(x):
-    """Weights w of composite Simpson's rule on an increasing, irregular grid x:
-    the integral of samples y over x is w @ y (along y's first axis).
+def principal_value_integral(f, f0, rule):
+    """PV int f(w)/(w - w0) dw by `principal_value_rule`, along f's first axis.
 
-    Simpson's three-point rule over consecutive pairs of intervals; with an
-    even point count the last interval takes Cartwright's three-point
-    correction. This is scipy.integrate.simpson's rule, term for term, for
-    at least three points.
+    f holds the integrand at the rule's nodes, one integrand per column, and
+    f0 = f(w0), one value per column: the rule is linear in both.
     """
-    h = np.diff(x)
-    n = len(x) - 2 + len(x) % 2  # intervals covered by the pairs
-    h0, h1 = h[0:n:2], h[1:n:2]
-    hsum, hprod, ratio = h0 + h1, h0 * h1, h0 / h1
-    w = np.zeros(len(x))
-    w[0:n - 1:2] += hsum / 6.0 * (2.0 - 1.0 / ratio)
-    w[1:n:2] += hsum / 6.0 * (hsum * (hsum / hprod))
-    w[2:n + 1:2] += hsum / 6.0 * (2.0 - ratio)
-    if len(x) % 2 == 0:
-        a, b = h[-2], h[-1]
-        w[-1] += (2 * b ** 2 + 3 * a * b) / (6 * (b + a))
-        w[-2] += (b ** 2 + 3.0 * a * b) / (6 * a)
-        w[-3] -= b ** 3 / (6 * a * (a + b))
-    return w
-
-
-def principal_value_integral(f, f0, wgrid, w0, wmax):
-    """PV int_0^wmax f(w)/(w - w0) dw by singularity subtraction, along f's first axis.
-
-    The subtracted integrand (f - f0)/(w - w0) is regular at the resonance and
-    integrated by Simpson's rule on wgrid; the subtracted pole contributes the
-    analytic log term f0 ln((wmax - w0)/w0). Grid points landing on the pole
-    take the limit value f'(w0), estimated by a central difference; zeroing
-    them instead would cost an O(h) error there. All of it is linear in f and
-    f0, so it is one weight row applied to f plus a coefficient of f0: f may
-    hold one integrand per column, with f0 one value per column.
-    """
-    x = wgrid - w0
-    w = simpson_weights(wgrid)
-    on_pole = np.abs(x) < 1e-12
-    row = np.divide(w, x, out=np.zeros_like(w), where=~on_pole)
-    f0_coef = math.log((wmax - w0) / w0) - row.sum()
-    for i in np.nonzero(on_pole)[0]:
-        if 0 < i < len(wgrid) - 1:
-            slope = w[i] / (wgrid[i + 1] - wgrid[i - 1])
-            row[i + 1] += slope
-            row[i - 1] -= slope
+    _, row, f0_coef = rule
     return row @ f + f0_coef * f0
 
 
@@ -165,23 +133,22 @@ _TABLE_LOCK = threading.Lock()
 
 
 @functools.lru_cache(maxsize=1)
-def _table(alpha, w0, n_y, n_omega, omega_max_factor, y_half):
+def _table(alpha, w0, n_y, n_gauss, omega_max_factor, y_half):
     """What every separation shares: q, the resonant power row, the PV row, k0, vg0.
 
     C12(k0; d) = power0 @ cos(q d), and the PV integral of C12(k(w); d)/vg(w)
     is pv @ cos(q d): the PV rule is applied once to every q column of the
-    power table over the PV k-grid, which is then dropped. Every input is in
+    power table at its nodes, which is then dropped. Every input is in
     the key. One entry of three vectors over q (513 values at the default
     N_Y), read-only because every caller receives the same ones.
     """
-    wmax = omega_max_factor * w0
-    wgrid = principal_value_grid(w0, wmax, n_omega)
-    karr = np.concatenate([[resonant_wavevector(w0)], resonant_wavevector(wgrid)])
+    rule = principal_value_rule(w0, omega_max_factor * w0, n_gauss)
+    karr = np.concatenate([[resonant_wavevector(w0)], resonant_wavevector(rule[0])])
     q, power = _spectral_power(karr, alpha, n_y, y_half)
     k0 = float(karr[0])
     vg0 = float(group_velocity(k0))
     power[1:] /= group_velocity(karr[1:])[:, None]
-    pv = principal_value_integral(power[1:], power[0] / vg0, wgrid, w0, wmax)
+    pv = principal_value_integral(power[1:], power[0] / vg0, rule)
     power0 = power[0].copy()  # not a view, which would keep the whole table alive
     for arr in (q, power0, pv):
         arr.flags.writeable = False
@@ -202,7 +169,7 @@ def rate_set(d: float, params: ModelParams) -> RateSet:
 
     gamma is reported in mu/hbar with the reservoir quantization length fixed
     to xi (only the ratios enter the dynamics). Even in d by construction.
-    The table follows N_Y, N_OMEGA, OMEGA_MAX_FACTOR and Y_HALF as they stand
+    The table follows N_Y, N_GAUSS, OMEGA_MAX_FACTOR and Y_HALF as they stand
     at the call.
     """
     w0 = qubit_gap(params)
@@ -213,7 +180,7 @@ def rate_set(d: float, params: ModelParams) -> RateSet:
     if not d < math.inf:
         raise ValueError(f"separation d must be finite, got {d}")
     with _TABLE_LOCK:  # concurrent sweep workers build a missing table once
-        q, power0, pv, k0, vg0 = _table(pair.alpha, w0, N_Y, N_OMEGA, OMEGA_MAX_FACTOR, Y_HALF)
+        q, power0, pv, k0, vg0 = _table(pair.alpha, w0, N_Y, N_GAUSS, OMEGA_MAX_FACTOR, Y_HALF)
 
     # c11 and c12 through the same expression, so Gamma/gamma is exactly 1 at d = 0
     cos_qd = np.cos(q * d)

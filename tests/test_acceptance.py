@@ -345,9 +345,9 @@ def test_10_property_sweep_and_unit_mapping(monkeypatch):
         lu_dev = max(lu_dev, abs(concurrence(rotated).value
                                  - concurrence(DensityMatrix4(matrix=rho)).value))
 
-    # quadrature refinement leaves the rates unchanged
+    # doubling the PV node count leaves the rates unchanged
     with monkeypatch.context() as m:
-        m.setattr(couplings, "N_OMEGA", 3201)
+        m.setattr(couplings, "N_GAUSS", 2 * couplings.N_GAUSS)
         refined = rate_set(2.5, PARAMS)
     quad_dev = max(abs(refined.Gamma_over_gamma - rates.Gamma_over_gamma),
                    abs(refined.eta_over_gamma - rates.eta_over_gamma))

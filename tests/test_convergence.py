@@ -20,6 +20,10 @@ from solq.scenarios import PRESETS
 # gamma, Gamma/gamma and eta/gamma at the separations below by at most 4.3e-15,
 # in the rate pins' units (relative for gamma, |x| floored at 0.01 for the ratios)
 Y_HALF_TOL = 1e-12
+# N_GAUSS doubled, 32 -> 64 nodes per PV panel, moves gamma, Gamma/gamma and
+# eta/gamma by at most 3.1e-13 in the same units, over the four parameter sets
+# and six separations below (16 -> 32 moves them by 2.1e-8)
+N_GAUSS_TOL = 1e-12
 # DT_CAP_FACTOR halved: ten cores at figS3's 2.5-xi spacing on figS3's grid
 # spacing (76.92/1024 xi; a 38.46-xi box of 512 points), at the default step
 # and at half of it, to t = 24.5: past figS3's 22.5, and a step count that the
@@ -46,6 +50,23 @@ def test_y_half_certificate(monkeypatch):
         for name in ("Gamma_over_gamma", "eta_over_gamma"):
             x, y = getattr(a, name), getattr(b, name)
             assert abs(x - y) < Y_HALF_TOL * max(abs(x), 0.01), (name, a, b)
+
+
+def test_n_gauss_certificate(monkeypatch):
+    params = (ModelParams(), ModelParams(nu=0.6, mass_ratio=1.3),
+              ModelParams(nu=0.78, mass_ratio=2.0), ModelParams(wannier_convention="eigenstate"))
+
+    def rates(n_gauss):
+        with monkeypatch.context() as m:
+            m.setattr(couplings, "N_GAUSS", n_gauss)
+            return [rate_set(d, p) for p in params for d in (0.5, 1.0, 2.2, 2.5, 4.0, 6.0)]
+
+    base, doubled = rates(couplings.N_GAUSS), rates(2 * couplings.N_GAUSS)
+    for a, b in zip(base, doubled, strict=True):
+        assert abs(a.gamma - b.gamma) < N_GAUSS_TOL * a.gamma, (a, b)
+        for name in ("Gamma_over_gamma", "eta_over_gamma"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert abs(x - y) < N_GAUSS_TOL * max(abs(x), 0.01), (name, a, b)
 
 
 def test_dt_cap_certificate():

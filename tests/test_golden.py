@@ -64,8 +64,9 @@ def changes(golden: Path, fresh: Path) -> tuple[list[str], list[str]]:
         if where is None:
             continue
         at = f"row {where} ({first}={want[first][where]})" if len(fields) > 1 else "value"
+        share = worst / scale if scale else math.inf
         line = (f"{golden.name} {name}: max |change| {worst:.3g}, "
-                f"{worst / scale if scale else math.inf:.3g} of the column scale {scale:.3g}, at {at}")
+                f"{share:.3g} of the column scale {scale:.3g}, at {at}")
         moved.append(line)
         if worst > GOLDEN_TOL * scale:
             failed.append(line)
