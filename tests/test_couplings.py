@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import loggamma
 
-from oracles import mode_amplitudes, phi0, phi1
+from oracles import K_MIN, mode_amplitudes, phi0, phi1
 from solq import couplings
 from solq.bogoliubov import group_velocity, resonant_wavevector
 from solq.boundstates import wannier_pair
@@ -92,8 +92,8 @@ def test_ratios_decay_at_large_separation():
 
 def test_pv_against_adaptive_cauchy_quadrature():
     # independent oracle: scipy's Cauchy-weight adaptive quadrature on the
-    # same physical integrand, from 1e-14 (the rule starts at 0; the integrand
-    # needs k > 0, and [0, 1e-14] weighs less than 1e-14 of the result)
+    # same physical integrand, from 1e-14: the rule starts at 0, the integrand
+    # needs k > 0, and [0, 1e-14] holds at most 3e-15 of the result
     vg0 = float(group_velocity(K0))
     wmax = OMEGA_MAX_FACTOR * W0
     _, rule, karr, vgw = pv_grid(P)
@@ -108,15 +108,14 @@ def test_pv_against_adaptive_cauchy_quadrature():
         assert err < 1e-13 + 1e-12 * abs(oracle)
         c12 = float(correlation_panel(K0, d, ALPHA)[0])
         pv = principal_value_integral(correlation_panel(karr, d, ALPHA) / vgw, c12 / vg0, rule)
-        # measured: at most 1.6e-14 relative (the Simpson grid this rule
-        # replaced was off by 4.3e-9 to 1.75e-7)
+        # measured: at most 1.6e-14 relative
         assert abs(pv - oracle) < 1e-12 * abs(oracle), (d, pv, oracle)
 
 
 def test_rate_table_matches_the_per_separation_route():
     # rate_set takes eta from one PV row over q, built once per table; the
-    # route it replaces takes C12 at every node of the PV rule at each separation
-    # and integrates that
+    # route it replaces takes C12 at every node of the PV rule at each
+    # separation and integrates that
     for params in PARAM_SETS:
         w0, rule, karr, vgw = pv_grid(params)
         alpha = wannier_pair(params).alpha
@@ -175,11 +174,12 @@ def direct_correlation(k, d, alpha, n_y=5001, y_half=40.0):
 
 
 def test_panel_matches_direct_trapezoid():
-    # the spectral panel against the direct sum, from the smallest PV k to the
-    # cutoff and at an off-grid separation
+    # the spectral panel against the direct sum, from the oracle's K_MIN (the
+    # PV rule's lowest node is k = 7.8e-5, and 25 of its 96 lie below 0.05) to
+    # the cutoff and at an off-grid separation
     k_max = float(resonant_wavevector(OMEGA_MAX_FACTOR * W0))
     d_values = (0.0, 0.7, 2.5 + math.pi * 1e-3, 6.0)
-    karr = np.array([0.05, K0, 1.0, k_max])
+    karr = np.array([K_MIN, 0.05, K0, 1.0, k_max])
     for d in d_values:
         panel = correlation_panel(karr, d, ALPHA)
         for k, got in zip(karr, panel):

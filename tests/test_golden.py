@@ -51,10 +51,11 @@ def changes(golden: Path, fresh: Path) -> tuple[list[str], list[str]]:
         if len(got[name]) != len(fields):
             failed.append(f"{golden.name} {name}: {len(got[name])} rows, want {len(fields)}")
             continue
-        scale = max((abs(number(f)) for f in fields if number(f) is not None), default=0.0)
+        values = [number(f) for f in fields]
+        scale = max((abs(x) for x in values if x is not None), default=0.0)
         worst, where = 0.0, None
-        for row, (a, b) in enumerate(zip(fields, got[name])):
-            x, y = number(a), number(b)
+        for row, (a, b, x) in enumerate(zip(fields, got[name], values)):
+            y = number(b)
             if x is None or y is None:
                 if a != b:
                     failed.append(f"{golden.name} {name} row {row}: {b!r}, want {a!r}")
